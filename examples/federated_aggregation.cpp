@@ -1,9 +1,9 @@
 // Federated aggregation tour: the two-tier deployment of the LDP join
 // sketch, on real loopback sockets.
 //
-//   clients ──▶ region 0 (2 shards) ──┐
-//                                     ├─ EPOCH_PUSH ──▶ central ──▶ estimate
-//   clients ──▶ region 1 (1 shard)  ──┘
+//   clients ──▶ region 0 ──┐
+//                          ├─ EPOCH_PUSH ──▶ central ──▶ estimate
+//   clients ──▶ region 1 ──┘
 //
 // Two RegionalNodes ingest disjoint halves of table A's client population
 // and ship raw-lane epoch snapshots upstream on different schedules — one
@@ -45,26 +45,24 @@ int main() {
 
   // --- the central tier -----------------------------------------------
   CentralNodeOptions central_options;
-  central_options.server.num_shards = 2;
   central_options.finalize_after = 2;   // two regions gate the frontier
   central_options.window_epochs = 4;    // keep a sliding 4-epoch view too
   CentralNode central(params, epsilon, central_options);
   if (!central.Start().ok()) return 1;
   std::printf("central listening on 127.0.0.1:%u\n", central.port());
 
-  // --- two regional tiers with different shard counts ------------------
+  // --- two regional tiers -----------------------------------------------
   std::vector<std::unique_ptr<RegionalNode>> regions;
   for (uint32_t r = 0; r < 2; ++r) {
     RegionalNodeOptions options;
     options.region_id = r;
     options.central_port = central.port();
-    options.server.num_shards = r == 0 ? 2 : 1;
     options.ship_backoff = {.base_micros = 5000, .cap_micros = 100000};
     regions.push_back(
         std::make_unique<RegionalNode>(params, epsilon, options));
     if (!regions[r]->Start().ok()) return 1;
-    std::printf("region %u listening on 127.0.0.1:%u (%zu shards)\n", r,
-                regions[r]->port(), options.server.num_shards);
+    std::printf("region %u listening on 127.0.0.1:%u\n", r,
+                regions[r]->port());
   }
 
   // --- clients: blocks of 4096 users split across the regions ----------

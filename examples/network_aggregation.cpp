@@ -2,14 +2,14 @@
 // clients streaming privatized reports to an aggregation service over TCP —
 // run for real on 127.0.0.1:
 //
-//   FrameSender x2 ──LJSP/TCP──► FrameServer ──queues──► ShardedAggregator
-//        (HELLO, DATA*, BYE)        (4 shards, shed backpressure)
+//   FrameSender x2 ──LJSP/TCP──► FrameServer (one reader per connection,
+//        (HELLO, DATA*, BYE)        each absorbing into its own lanes)
 //
 // Two sender connections stream disjoint halves of table A concurrently
 // (with a mid-stream raw-lane snapshot), table B is built in process, and
 // the final estimate is compared bit-for-bit against a single-node absorb
 // of the same reports — the service exactness invariant, now surviving a
-// real socket, bounded queues, and shed/retry flow control.
+// real socket, concurrent connections, and TCP flow control.
 #include <cmath>
 #include <cstdio>
 #include <thread>
@@ -42,20 +42,15 @@ int main() {
   Xoshiro256 rng(1);
   client.PerturbBatch(workload.table_a.values(), reports, rng);
 
-  // --- Aggregation service: 4 shards, shed backpressure, tiny queues so
-  // the flow control actually engages.
+  // --- Aggregation service on an ephemeral port.
   FrameServerOptions options;
-  options.port = 0;  // ephemeral
-  options.num_shards = 4;
-  options.queue_capacity = 8;
-  options.backpressure = BackpressurePolicy::kShed;
+  options.port = 0;
   FrameServer server(params, epsilon, options);
   if (!server.Start().ok()) {
     std::printf("cannot start server\n");
     return 1;
   }
-  std::printf("FrameServer on 127.0.0.1:%u (4 shards, queue=8, shed)\n",
-              server.port());
+  std::printf("FrameServer on 127.0.0.1:%u\n", server.port());
 
   // --- Two concurrent clients, each streaming half the reports.
   auto stream_half = [&](size_t begin, size_t end, bool snapshot) {
@@ -84,9 +79,8 @@ int main() {
       }
     }
     if (!sender->Finish().ok()) return;
-    std::printf("  connection done: %llu frames, %llu busy retries\n",
-                static_cast<unsigned long long>(sender->frames_sent()),
-                static_cast<unsigned long long>(sender->busy_retries()));
+    std::printf("  connection done: %llu frames\n",
+                static_cast<unsigned long long>(sender->frames_sent()));
   };
   std::thread first(stream_half, 0, rows / 2, true);
   std::thread second(stream_half, rows / 2, rows, false);
@@ -95,18 +89,10 @@ int main() {
 
   server.Stop();
   const NetMetrics metrics = server.metrics();
-  std::printf("server: %llu connections, %llu frames, %llu reports, "
-              "%llu shed, queue high-water %llu\n",
+  std::printf("server: %llu connections, %llu frames, %llu reports\n",
               static_cast<unsigned long long>(metrics.connections_accepted),
               static_cast<unsigned long long>(metrics.frames_received),
-              static_cast<unsigned long long>(metrics.reports_ingested),
-              static_cast<unsigned long long>(metrics.frames_shed),
-              static_cast<unsigned long long>(metrics.queue_high_water));
-  for (size_t s = 0; s < metrics.shards.size(); ++s) {
-    std::printf("  shard %zu: %llu frames, %llu reports\n", s,
-                static_cast<unsigned long long>(metrics.shards[s].frames),
-                static_cast<unsigned long long>(metrics.shards[s].reports));
-  }
+              static_cast<unsigned long long>(metrics.reports_ingested));
 
   // --- Reference: single node absorbing the identical reports.
   LdpJoinSketchServer reference(params, epsilon);
@@ -129,8 +115,8 @@ int main() {
               std::abs(est_tcp - truth) / truth);
   std::printf("TCP == single-node: %s\n", est_tcp == est_ref ? "yes" : "NO");
   std::printf("\nthe network tier adds transport, flow control, and "
-              "observability — and changes no bits: shed frames are retried, "
-              "queues drain before finalize, and raw integer lanes make the "
-              "merge exact for any interleaving.\n");
+              "observability — and changes no bits: each connection's reader "
+              "absorbs its own frames, and raw integer lanes make the merge "
+              "exact for any interleaving.\n");
   return est_tcp == est_ref ? 0 : 1;
 }

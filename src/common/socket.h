@@ -81,7 +81,7 @@ class Socket {
 
   /// Caps how long a blocking send may stall (SO_SNDTIMEO); afterwards
   /// SendAll fails with Unavailable. Guards single-threaded writers (the
-  /// server's ingest pump) against a peer that stops reading.
+  /// server's connection readers) against a peer that stops reading.
   void SetSendTimeout(int seconds) const;
 
   /// Caps how long a blocking recv may wait for bytes (SO_RCVTIMEO);

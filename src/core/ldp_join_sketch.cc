@@ -25,6 +25,15 @@ constexpr uint8_t kSketchVersion = 2;
 constexpr uint32_t kBatchMagic = 0x42534A4CU;  // "LJSB"
 constexpr uint8_t kBatchVersion = 1;
 
+/// Batch-envelope header bytes: magic u32 + version u8 + count u32.
+constexpr size_t kBatchHeaderBytes = 9;
+
+uint32_t LoadU32Le(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
 /// int64 lane accumulation, the inner loop of Merge (and of every shard
 /// merge in the aggregation service). The restrict qualification promises
 /// the compiler dst and src never alias, so the loop auto-vectorizes into
@@ -119,15 +128,10 @@ Result<size_t> DecodeReportBatch(BinaryReader& reader,
   auto raw = reader.GetRaw(n * kWireReportBytes);
   if (!raw.ok()) return raw.status();
   const uint8_t* bytes = raw->data();
-  const auto load_u32le = [](const uint8_t* p) {
-    return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-  };
   for (size_t i = 0; i < n; ++i, bytes += kWireReportBytes) {
     const uint8_t y = bytes[0];
-    const uint32_t j = load_u32le(bytes + 1);
-    const uint32_t l = load_u32le(bytes + 5);
+    const uint32_t j = LoadU32Le(bytes + 1);
+    const uint32_t l = LoadU32Le(bytes + 5);
     if (y > 1) return Status::Corruption("report sign byte is not 0 or 1");
     if (j > 0xffff) return Status::Corruption("row index out of range");
     out[i] = LdpReport{y == 1 ? int8_t{1} : int8_t{-1},
@@ -222,6 +226,60 @@ void LdpJoinSketchServer::AbsorbBatch(std::span<const LdpReport> reports) {
     lanes[(static_cast<size_t>(r.j) << m_log2) | r.l] += r.y;
   }
   total_ += reports.size();
+}
+
+Status LdpJoinSketchServer::AbsorbWireBatch(std::span<const uint8_t> wire) {
+  LDPJS_CHECK(!finalized_);
+  if (wire.size() < kBatchHeaderBytes) {
+    return Status::Corruption("truncated batch-envelope header");
+  }
+  if (LoadU32Le(wire.data()) != kBatchMagic) {
+    return Status::Corruption("missing LJSB batch-envelope magic");
+  }
+  if (wire[4] != kBatchVersion) {
+    return Status::Corruption("unsupported batch-envelope version " +
+                              std::to_string(wire[4]));
+  }
+  const uint32_t count = LoadU32Le(wire.data() + 5);
+  if (count > kMaxWireBatchReports) {
+    return Status::Corruption("batch count " + std::to_string(count) +
+                              " exceeds the wire batch limit");
+  }
+  // count <= 4096, so the byte size cannot wrap.
+  const size_t body = wire.size() - kBatchHeaderBytes;
+  const size_t want = static_cast<size_t>(count) * kWireReportBytes;
+  if (body < want) return Status::Corruption("truncated batch-envelope body");
+  if (body > want) {
+    return Status::Corruption("trailing bytes after batch-envelope record");
+  }
+  const uint8_t* reports = wire.data() + kBatchHeaderBytes;
+  const uint32_t k = static_cast<uint32_t>(params_.k);
+  const uint32_t m = static_cast<uint32_t>(params_.m);
+  // Pass 1: validate every report. Nothing is written until the whole
+  // record is known good, so a bad report anywhere — even the last —
+  // leaves the lanes untouched.
+  const uint8_t* p = reports;
+  for (size_t i = 0; i < count; ++i, p += kWireReportBytes) {
+    if (p[0] > 1) return Status::Corruption("report sign byte is not 0 or 1");
+    if (LoadU32Le(p + 1) >= k) {
+      return Status::Corruption("report row index outside sketch shape");
+    }
+    if (LoadU32Le(p + 5) >= m) {
+      return Status::Corruption("report coordinate outside sketch shape");
+    }
+  }
+  // Pass 2: scatter. Sign byte 1 is +1, 0 is −1; m is a power of two, so
+  // the row offset is a shift.
+  int64_t* __restrict lanes = lanes_.data();
+  const int m_log2 = std::countr_zero(static_cast<uint64_t>(params_.m));
+  p = reports;
+  for (size_t i = 0; i < count; ++i, p += kWireReportBytes) {
+    const size_t cell =
+        (static_cast<size_t>(LoadU32Le(p + 1)) << m_log2) | LoadU32Le(p + 5);
+    lanes[cell] += 2 * static_cast<int64_t>(p[0]) - 1;
+  }
+  total_ += count;
+  return Status::OK();
 }
 
 void LdpJoinSketchServer::Merge(const LdpJoinSketchServer& other) {

@@ -161,6 +161,16 @@ class LdpJoinSketchServer {
   /// touch a lane.
   void AbsorbBatch(std::span<const LdpReport> reports);
 
+  /// Absorbs one batch-envelope record (EncodeReportBatch's bytes) straight
+  /// from the wire, with no decode into LdpReport structs. Two passes over
+  /// the packed bytes: the first validates the envelope (magic, version,
+  /// count <= kMaxWireBatchReports, exact length — trailing bytes are
+  /// rejected) and every report (sign byte 0 or 1, j < k, l < m); only
+  /// then does the second scatter into the lanes. Any failure returns
+  /// Corruption with the lanes and total_reports() untouched. Lanes end up
+  /// identical to DecodeReportBatch followed by AbsorbBatch.
+  Status AbsorbWireBatch(std::span<const uint8_t> wire);
+
   /// Adds another server's raw lanes (distributed aggregation). Both must
   /// share params/epsilon and be un-finalized. Integer addition, so merge
   /// order never changes the result.

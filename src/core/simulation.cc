@@ -59,10 +59,8 @@ LdpJoinSketchServer RunProtocolOverWire(const Column& column,
     // snapshots ship upstream (EPOCH_PUSH) to a central aggregator. Raw
     // integer lanes merge exactly across the whole topology, so this is
     // bit-identical to the in-process span hand-off below — for any region
-    // count, epoch schedule, and shard count per tier.
-    const size_t n_shards = std::max<size_t>(1, options.num_shards);
+    // count and epoch schedule.
     CentralNodeOptions central_options;
-    central_options.server.num_shards = n_shards;
     central_options.window_epochs = options.window_epochs;
     // The windowed view's aligned frontier waits for every region it
     // expects to hear from. Blocks round-robin over regions, so a run with
@@ -79,7 +77,6 @@ LdpJoinSketchServer RunProtocolOverWire(const Column& column,
       RegionalNodeOptions region_options;
       region_options.region_id = static_cast<uint32_t>(r);
       region_options.central_port = central.port();
-      region_options.server.num_shards = n_shards;
       regions.push_back(std::make_unique<RegionalNode>(params, epsilon,
                                                        region_options));
       LDPJS_CHECK(regions.back()->Start().ok());
@@ -103,7 +100,7 @@ LdpJoinSketchServer RunProtocolOverWire(const Column& column,
           // sender pushed is in the region's lanes before the cut.
           LDPJS_CHECK(senders[region].Ping().ok());
         }
-        // Without the barrier the cut races the region's pumps mid-stream
+        // Without the barrier the cut races the region's reader mid-stream
         // — whatever has been absorbed goes in this epoch, the rest in the
         // next; any split is exact for the full-history estimate.
         LDPJS_CHECK(regions[region]->CutAndShip().ok());
@@ -128,11 +125,10 @@ LdpJoinSketchServer RunProtocolOverWire(const Column& column,
   if (options.net_loopback) {
     // Full deployment rehearsal: the identical frame bytes go over a real
     // TCP socket into a FrameServer. Raw integer lanes make the estimate
-    // independent of frame→shard routing, so this is bit-identical to the
-    // in-process span hand-off below.
+    // independent of which lanes absorb a frame, so this is bit-identical
+    // to the in-process span hand-off below.
     FrameServerOptions server_options;
     server_options.port = 0;  // ephemeral
-    server_options.num_shards = std::max<size_t>(1, options.num_shards);
     FrameServer server(params, epsilon, server_options);
     LDPJS_CHECK(server.Start().ok());
     auto sender =

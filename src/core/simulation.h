@@ -58,9 +58,9 @@ struct SimulationOptions {
   /// N >= 1: the full federated deployment rehearsal — N RegionalNodes on
   /// 127.0.0.1 ingest the client blocks round-robin and ship raw-lane
   /// epoch snapshots upstream (EPOCH_PUSH) to one CentralNode, which
-  /// merges them and finalizes once. Shard count per tier comes from
-  /// num_shards. Still bit-identical to in-process ingestion — federation,
-  /// like sharding and the network, can never change an answer.
+  /// merges them and finalizes once. Still bit-identical to in-process
+  /// ingestion — federation, like sharding and the network, can never
+  /// change an answer.
   size_t num_regions = 0;
   /// Federated mode: each region cuts + ships an epoch snapshot after
   /// every `epoch_reports` reports it has ingested (0 = one epoch at the

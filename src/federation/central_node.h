@@ -29,7 +29,7 @@
 namespace ldpjs {
 
 struct CentralNodeOptions {
-  /// Listening port, shard count, queue depth, backpressure policy.
+  /// Listening port, timeouts, health thresholds.
   FrameServerOptions server;
   /// How many FINALIZE requests end the collection — one per region when
   /// regions forward their clients' FINALIZE upstream.

@@ -1,6 +1,6 @@
 // RegionalNode: one regional tier of the federated aggregation topology.
 //
-//   clients ──LJSP/DATA──▶ RegionalNode(FrameServer, N shards)
+//   clients ──LJSP/DATA──▶ RegionalNode(FrameServer)
 //                               │  EpochScheduler tick:
 //                               │    cut raw-lane snapshot → lanes reset
 //                               ▼
@@ -49,7 +49,7 @@ struct RegionalNodeOptions {
   uint32_t region_id = 0;
   std::string central_host = "127.0.0.1";
   uint16_t central_port = 0;
-  /// Region-facing ingest server (port, shards, queue, backpressure).
+  /// Region-facing ingest server (port, timeouts, health thresholds).
   FrameServerOptions server;
   /// Wall-clock epoch period; 0 = cut only on explicit CutAndShip() calls
   /// (deterministic mode for tests and report-count-driven drivers).
@@ -111,8 +111,8 @@ class RegionalNode {
   /// next call. Serialized with the scheduler's ticks.
   Status CutAndShip();
 
-  /// Stops the scheduler and the ingest server (draining every queued
-  /// frame), cuts the final epoch, and ships everything still pending —
+  /// Stops the scheduler and the ingest server (every reader folds what it
+  /// absorbed), cuts the final epoch, and ships everything still pending —
   /// after this returns OK, every report any client pushed to this region
   /// is merged into the central lanes exactly once. Idempotent.
   Status FlushAndStop();

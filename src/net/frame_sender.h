@@ -3,12 +3,13 @@
 // server's bit for bit), then streams PerturbBatch output as LJSB batch
 // envelopes inside DATA frames.
 //
-// Flow control: against a kShed server every DATA frame is acked; a busy
-// ack makes SendReports/SendEncodedBatch retry the same frame after a
-// jittered exponential backoff (bounded by Options::max_busy_retries, then
-// Unavailable). Against a kBlock server there are no per-frame acks — TCP
-// flow control is the backpressure — and Finish()'s BYE/BYE_OK exchange is
-// the proof that every frame sent on this connection has been ingested.
+// Flow control: when the server's HELLO_OK sets acked_data, every DATA
+// frame is acked; a busy ack makes SendReports/SendEncodedBatch retry the
+// same frame after a jittered exponential backoff (bounded by
+// Options::max_busy_retries, then Unavailable). FrameServer never acks
+// DATA — TCP flow control is its backpressure — and Finish()'s BYE/BYE_OK
+// exchange is the proof that every frame sent on this connection has been
+// ingested.
 #ifndef LDPJS_NET_FRAME_SENDER_H_
 #define LDPJS_NET_FRAME_SENDER_H_
 

@@ -31,19 +31,10 @@ FrameServer::FrameServer(const SketchParams& params, double epsilon,
       options_(options),
       max_session_payload_(
           std::max({kMaxIngestFramePayload, EpochPushPayloadBound(params) + 64,
-                    kMaxQueryFramePayload + 64})),
-      aggregator_(params, epsilon,
-                  options.num_shards == 0 ? 1 : options.num_shards) {
-  LDPJS_CHECK(options_.queue_capacity >= 1);
-  lanes_.reserve(aggregator_.num_shards());
+                    kMaxQueryFramePayload + 64})) {
+  params_.Validate();
   MetricsRegistry& registry = MetricsRegistry::Default();
-  for (size_t s = 0; s < aggregator_.num_shards(); ++s) {
-    auto lane = std::make_unique<ShardLane>();
-    const std::string prefix = "shard" + std::to_string(s);
-    lane->queue_wait_hist = registry.GetHistogram(prefix + "_queue_wait_ns");
-    lane->absorb_hist = registry.GetHistogram(prefix + "_absorb_ns");
-    lanes_.push_back(std::move(lane));
-  }
+  frame_absorb_hist_ = registry.GetHistogram("frame_absorb_ns");
   ingest_to_queryable_hist_ = registry.GetHistogram("ingest_to_queryable_ns");
   query_latency_hist_ = registry.GetHistogram("query_latency_ns");
   query_error_latency_hist_ = registry.GetHistogram("query_error_latency_ns");
@@ -83,9 +74,6 @@ Status FrameServer::Start() {
   // the server is up, so query paths have no "not yet published" branch.
   PublishView();
   acceptor_ = std::thread(&FrameServer::AcceptLoop, this);
-  for (size_t s = 0; s < lanes_.size(); ++s) {
-    lanes_[s]->pump = std::thread(&FrameServer::PumpLoop, this, s);
-  }
   return Status::OK();
 }
 
@@ -98,7 +86,7 @@ void FrameServer::AcceptLoop() {
   for (;;) {
     // Reap ahead of each accept, so a server that has handled millions of
     // short-lived clients holds live connections plus one metrics row per
-    // departed one, not their queues/threads/sockets.
+    // departed one, not their threads/sockets.
     ReapFinishedConnections();
     auto socket = listener_.Accept();
     {
@@ -166,20 +154,16 @@ void FrameServer::SendError(Connection& conn, const Status& status) {
                       EncodeErrorPayload(status));
 }
 
-void FrameServer::WaitConnDrained(Connection* conn) {
-  MutexLock lock(mu_);
-  while (conn->data_inflight != 0) drain_cv_.Wait(mu_);
-}
-
 void FrameServer::ReaderLoop(Connection* conn) {
   bool session_open = false;
   // --- Handshake: exactly one HELLO with matching session params. --------
-  auto hello_frame = ReadNetFrame(conn->socket, kMaxIngestFramePayload);
-  if (hello_frame.ok() && hello_frame->type == NetFrameType::kHello) {
+  auto hello_frame =
+      ReadNetFrame(conn->socket, kMaxIngestFramePayload, conn->frame);
+  if (hello_frame.ok() && *hello_frame == NetFrameType::kHello) {
     conn->bytes_received.fetch_add(
-        kFrameHeaderBytes + hello_frame->payload.size(),
+        kFrameHeaderBytes + conn->frame.payload().size(),
         std::memory_order_relaxed);
-    auto hello = DecodeHello(hello_frame->payload);
+    auto hello = DecodeHello(conn->frame.payload());
     if (!hello.ok()) {
       conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
       SendError(*conn, hello.status());
@@ -195,8 +179,7 @@ void FrameServer::ReaderLoop(Connection* conn) {
       conn->version = std::min(hello->version, kNetVersion);
       SessionHelloOk ok;
       ok.version = conn->version;
-      ok.num_shards = static_cast<uint32_t>(aggregator_.num_shards());
-      ok.acked_data = options_.backpressure == BackpressurePolicy::kShed;
+      ok.num_shards = 1;  // no ingest queue: DATA is never shed or acked
       if (hello->has_region) {
         // The epoch sync a (re)connecting regional shipper runs on: the
         // first epoch this server has NOT applied for that region. A
@@ -228,14 +211,14 @@ void FrameServer::ReaderLoop(Connection* conn) {
     SendError(*conn, Status::Corruption("expected HELLO"));
   }
 
-  // --- Frame loop: route DATA to a shard queue, handle control inline. ---
+  // --- Frame loop: absorb DATA and handle control frames, in order. -----
   while (session_open) {
-    auto frame = ReadNetFrame(conn->socket, max_session_payload_);
+    auto frame = ReadNetFrame(conn->socket, max_session_payload_, conn->frame);
     if (!frame.ok()) {
       if (frame.status().code() == StatusCode::kDeadlineExceeded) {
         // The peer went silent past the idle deadline: reap the
         // connection so a hung client cannot pin a thread and fd forever.
-        // Its already-queued frames still drain — reaping loses nothing.
+        // What it sent is already absorbed — reaping loses nothing.
         idle_reaped_.fetch_add(1, std::memory_order_relaxed);
         ObsEvent reap;
         reap.kind = "idle_reap";
@@ -261,9 +244,9 @@ void FrameServer::ReaderLoop(Connection* conn) {
     // exactly the inner frame it would have seen on a bare session — the
     // trace context rides alongside, it never changes the bytes handled.
     TraceContext trace;
-    size_t payload_offset = 0;
-    NetFrameType effective_type = frame->type;
-    if (frame->type == NetFrameType::kTraced) {
+    std::span<const uint8_t> payload = conn->frame.payload();
+    NetFrameType effective_type = *frame;
+    if (effective_type == NetFrameType::kTraced) {
       if (conn->version < 4) {
         conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
         SendError(*conn, Status::FailedPrecondition(
@@ -272,7 +255,7 @@ void FrameServer::ReaderLoop(Connection* conn) {
         conn->socket.ShutdownBoth();
         break;
       }
-      auto traced = DecodeTraced(frame->payload);
+      auto traced = DecodeTraced(payload);
       if (!traced.ok()) {
         conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
         SendError(*conn, traced.status());
@@ -281,11 +264,9 @@ void FrameServer::ReaderLoop(Connection* conn) {
       }
       trace.trace_id = traced->trace_id;
       trace.origin_ns = traced->origin_ns;
-      payload_offset = kTracedHeaderBytes;
       effective_type = traced->inner_type;
+      payload = traced->inner_payload;
     }
-    const std::span<const uint8_t> payload =
-        std::span<const uint8_t>(frame->payload).subspan(payload_offset);
     const bool is_data = effective_type == NetFrameType::kData;
     const bool is_query = effective_type == NetFrameType::kQuery;
     const bool is_stats = effective_type == NetFrameType::kStatsRequest;
@@ -305,12 +286,16 @@ void FrameServer::ReaderLoop(Connection* conn) {
       break;
     }
     conn->frames_received.fetch_add(1, std::memory_order_relaxed);
-    conn->bytes_received.fetch_add(kFrameHeaderBytes + frame->payload.size(),
-                                   std::memory_order_relaxed);
+    conn->bytes_received.fetch_add(
+        kFrameHeaderBytes + conn->frame.payload().size(),
+        std::memory_order_relaxed);
+
+    if (is_data) {
+      if (!HandleData(*conn, payload, trace)) break;
+      continue;
+    }
 
     if (is_stats) {
-      // Like QUERY, deliberately NOT behind WaitConnDrained: an ops probe
-      // must never stall behind (or hold up) a busy ingest queue.
       if (conn->version < 4) {
         conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
         SendError(*conn,
@@ -325,9 +310,7 @@ void FrameServer::ReaderLoop(Connection* conn) {
     }
 
     if (is_stats_push || is_fleet_stats) {
-      // v5 fleet frames: telemetry, never behind the drain barrier — a
-      // region's stats push must land even while its data frames queue,
-      // and a dashboard scrape must never stall behind ingest.
+      // v5 fleet frames: telemetry.
       if (conn->version < 5) {
         conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
         SendError(*conn,
@@ -348,9 +331,9 @@ void FrameServer::ReaderLoop(Connection* conn) {
     }
 
     if (is_query) {
-      // Deliberately NOT behind WaitConnDrained: a query reads the latest
-      // published view and nothing else, so it can never stall behind —
-      // or hold up — ingest or the finalize barrier.
+      // A query reads the latest published view and nothing else, so it
+      // can never stall behind — or hold up — ingest or the finalize
+      // barrier.
       if (conn->version < 3) {
         conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
         queries_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -365,69 +348,10 @@ void FrameServer::ReaderLoop(Connection* conn) {
       continue;
     }
 
-    if (is_data) {
-      // Shard-affine routing: connection-local round-robin spreads a single
-      // heavy sender across every pump; any routing is bit-identical.
-      const size_t shard = conn->next_shard;
-      conn->next_shard = (conn->next_shard + 1) % lanes_.size();
-      ShardLane& lane = *lanes_[shard];
-      bool shed = false;
-      {
-        MutexLock lock(mu_);
-        if (options_.backpressure == BackpressurePolicy::kShed &&
-            lane.queue.size() >= options_.queue_capacity && !stopping_) {
-          shed = true;
-        } else {
-          // Block policy: park until the shard's pump makes space. During a
-          // stopping drain the frame is admitted regardless so the reader
-          // can reach the client's close — memory stays bounded at
-          // capacity + 1 per shard.
-          while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
-            space_cv_.Wait(mu_);
-          }
-          ++conn->data_inflight;
-          PumpItem item;
-          item.conn = conn;
-          item.payload = std::move(frame->payload);
-          item.payload_offset = payload_offset;
-          item.trace = trace;
-          if (ObsEnabled()) item.enqueue_ns = NowNanos();
-          lane.queue.push_back(std::move(item));
-          // Writers are serialized by mu_, so load-then-store cannot lose
-          // an update; the atomic exists for the lock-free metrics read.
-          const uint64_t depth = lane.queue.size();
-          if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
-            lane.queue_high_water.store(depth, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (shed) {
-        conn->frames_shed.fetch_add(1, std::memory_order_relaxed);
-        const uint8_t busy = static_cast<uint8_t>(DataAckCode::kBusy);
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&busy, 1})
-                 .ok()) {
-          session_open = false;
-        }
-        continue;
-      }
-      lane.work_cv.NotifyOne();
-      if (options_.backpressure == BackpressurePolicy::kShed) {
-        const uint8_t ok = static_cast<uint8_t>(DataAckCode::kAbsorbed);
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&ok, 1})
-                 .ok()) {
-          session_open = false;
-        }
-      }
-      continue;
-    }
-
-    // Control frames are ordered after every DATA frame this connection
-    // sent: wait for the pumps to absorb the connection's in-flight frames,
-    // then act — so SNAPSHOT_DATA / EPOCH_PUSH_OK / FINALIZE_OK / BYE_OK
-    // keep their "your data is in the lanes" meaning under multi-pump.
-    WaitConnDrained(conn);
+    // Control frames: every DATA frame this connection sent before this
+    // one is already absorbed (the reader absorbs synchronously), so
+    // SNAPSHOT_DATA / EPOCH_PUSH_OK / FINALIZE_OK / PING_OK / BYE_OK mean
+    // "your data is in the lanes".
     switch (effective_type) {
       case NetFrameType::kSnapshot:
         HandleSnapshot(*conn);
@@ -436,7 +360,7 @@ void FrameServer::ReaderLoop(Connection* conn) {
         HandleEpochPush(*conn, payload, trace);
         break;
       case NetFrameType::kFinalize: {
-        if (frame->payload.size() != 0 && frame->payload.size() != 4) {
+        if (payload.size() != 0 && payload.size() != 4) {
           // Only 0 (anonymous) or 4 (u32 region tag) are well-formed. A
           // truncated/garbage tag must never fall through to the barrier
           // below — counting it (as anything) could end a multi-region
@@ -447,9 +371,8 @@ void FrameServer::ReaderLoop(Connection* conn) {
           session_open = false;
           break;
         }
-        // The finalizing client's frames are all drained (barrier above):
-        // publish them so queries arriving after the collection ends see
-        // the complete view.
+        // The finalizing client's frames are all absorbed: publish them so
+        // queries arriving after the collection ends see the complete view.
         PublishView();
         {
           MutexLock g(conn->write_mu);
@@ -460,12 +383,12 @@ void FrameServer::ReaderLoop(Connection* conn) {
         }
         {
           MutexLock lock(mu_);
-          if (frame->payload.size() == 4) {
+          if (payload.size() == 4) {
             // Region-tagged: idempotent — a retried forward after a lost
             // FINALIZE_OK counts the region once, never twice.
             uint32_t region = 0;
             for (int i = 0; i < 4; ++i) {
-              region |= static_cast<uint32_t>(frame->payload[i]) << (8 * i);
+              region |= static_cast<uint32_t>(payload[i]) << (8 * i);
             }
             finalized_regions_.insert(region);
           } else {
@@ -476,10 +399,9 @@ void FrameServer::ReaderLoop(Connection* conn) {
         break;
       }
       case NetFrameType::kPing: {
-        // The WaitConnDrained above is the whole point: PING_OK promises
-        // "everything you sent is in the lanes" without shipping them back.
-        // Republish before acking, so "ping, then query" reads your own
-        // writes from the published view.
+        // PING_OK promises "everything you sent is in the lanes" without
+        // shipping them back. Republish before acking, so "ping, then
+        // query" reads your own writes from the published view.
         PublishView();
         MutexLock g(conn->write_mu);
         if (!WriteNetFrame(conn->socket, NetFrameType::kPingOk, {}).ok()) {
@@ -502,6 +424,7 @@ void FrameServer::ReaderLoop(Connection* conn) {
   // next exiting reader, the next accept, or Stop picks this one up), so
   // an idle listener retains only the final straggler(s) instead of
   // accumulating fds and unjoined threads until the next accept.
+  RetireLanes(*conn);
   ReapFinishedConnections();
   {
     MutexLock lock(mu_);
@@ -513,7 +436,7 @@ void FrameServer::ReaderLoop(Connection* conn) {
 void FrameServer::HandleSnapshot(Connection& conn) {
   // Raw-lane snapshot of everything ingested so far (multi-epoch
   // streaming: snapshots merge bit-exactly across epochs).
-  const std::vector<uint8_t> bytes = MergeShardsLocked().Serialize();
+  const std::vector<uint8_t> bytes = MergeLanes().Serialize();
   MutexLock g(conn.write_mu);
   if (!WriteNetFrame(conn.socket, NetFrameType::kSnapshotData, bytes).ok()) {
     // The peer stopped reading (send timed out) or vanished; cut it.
@@ -544,7 +467,8 @@ void FrameServer::HandleEpochPush(Connection& conn,
   // merge and the windowed-view epoch store without a second deserialize.
   std::optional<LdpJoinSketchServer> snapshot;
   if (!heartbeat) {
-    auto decoded = aggregator_.DecodeCompatibleSketch(push->raw_sketch);
+    auto decoded =
+        DecodeCompatibleSketch(push->raw_sketch, params_, epsilon_);
     if (!decoded.ok()) {
       conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
       SendError(conn, decoded.status());
@@ -571,9 +495,8 @@ void FrameServer::HandleEpochPush(Connection& conn,
     } else {
       // Reserve the epoch under mu_, merge outside it: a concurrent retry
       // of the same (region, epoch) blocks above until this merge
-      // completes, while the k·m-lane merge holds only the target shard's
-      // lock — a large snapshot never stalls every reader and pump on the
-      // global mutex.
+      // completes, while the k·m-lane merge holds only lanes_mu_ — a large
+      // snapshot never stalls every reader on the global mutex.
       region.next_epoch = push->epoch + 1;
       region.inflight.insert(push->epoch);
       fresh = true;
@@ -581,10 +504,12 @@ void FrameServer::HandleEpochPush(Connection& conn,
   }
   if (fresh) {
     if (!heartbeat) {
-      const size_t shard =
-          push_shard_.fetch_add(1, std::memory_order_relaxed) % lanes_.size();
-      MutexLock agg(lanes_[shard]->agg_mu);
-      aggregator_.MergeRawSketch(shard, *snapshot);
+      MutexLock registry(lanes_mu_);
+      if (settled_) {
+        settled_->Merge(*snapshot);
+      } else {
+        settled_.emplace(*snapshot);
+      }
     }
     {
       MutexLock lock(mu_);
@@ -643,19 +568,19 @@ bool FrameServer::AllReadersDone() const {
 }
 
 void FrameServer::ReapFinishedConnections() {
-  // A connection whose reader exited and whose queued frames are all
-  // absorbed is finished for good: join the thread, keep its final counter
-  // snapshot, free everything else.
+  // A connection whose reader exited is finished for good: its lanes are
+  // already folded (RetireLanes), so join the thread, keep its final
+  // counter snapshot, free everything else.
   std::vector<std::unique_ptr<Connection>> finished;
   {
     MutexLock lock(mu_);
     for (auto& conn : connections_) {
-      if (conn->reader_done && conn->data_inflight == 0) {
+      if (conn->reader_done) {
         // Counters are final here: the reader mutates them only before
-        // setting reader_done, the pumps only while inflight is non-zero.
-        // Snapshot into departed_ in the same critical section that removes
-        // the live entry, so a concurrent metrics() always sees the
-        // connection exactly once and aggregate totals stay monotonic.
+        // setting reader_done. Snapshot into departed_ in the same critical
+        // section that removes the live entry, so a concurrent metrics()
+        // always sees the connection exactly once and aggregate totals stay
+        // monotonic.
         ConnectionMetrics final_row = SnapshotConnection(*conn);
         final_row.active = false;
         departed_.push_back(final_row);
@@ -674,7 +599,6 @@ void FrameServer::ReapFinishedConnections() {
       departed_folded_.bytes_received += old.bytes_received;
       departed_folded_.reports_ingested += old.reports_ingested;
       departed_folded_.corrupt_frames_rejected += old.corrupt_frames_rejected;
-      departed_folded_.frames_shed += old.frames_shed;
       departed_.pop_front();
       ++connections_folded_;
     }
@@ -682,73 +606,67 @@ void FrameServer::ReapFinishedConnections() {
   for (auto& conn : finished) conn->reader.join();
 }
 
-void FrameServer::PumpLoop(size_t shard) {
-  ShardLane& lane = *lanes_[shard];
-  for (;;) {
-    PumpItem item;
-    {
-      MutexLock lock(mu_);
-      // Sleep until there is an item to pump, or — during shutdown, once
-      // every reader has exited (no producer remains) — the queue is dry.
-      while (lane.queue.empty() && !(stopping_ && AllReadersDone())) {
-        lane.work_cv.Wait(mu_);
-      }
-      if (lane.queue.empty()) return;  // fully drained
-      item = std::move(lane.queue.front());
-      lane.queue.pop_front();
-    }
-    space_cv_.NotifyAll();
-    ProcessData(shard, item);
-    {
-      MutexLock lock(mu_);
-      --item.conn->data_inflight;
-    }
-    drain_cv_.NotifyAll();
+bool FrameServer::HandleData(Connection& conn,
+                             std::span<const uint8_t> payload,
+                             const TraceContext& trace) {
+  if (!conn.lanes) {
+    conn.lanes = std::make_unique<LaneSet>(params_, epsilon_);
+    MutexLock registry(lanes_mu_);
+    live_lanes_.push_back(conn.lanes.get());
   }
-}
-
-void FrameServer::ProcessData(size_t shard, PumpItem& item) {
-  Connection& conn = *item.conn;
-  const std::span<const uint8_t> payload =
-      std::span<const uint8_t>(item.payload).subspan(item.payload_offset);
-  ShardLane& lane = *lanes_[shard];
+  LaneSet& set = *conn.lanes;
   // Two clock reads per frame when observability is on (a frame carries up
-  // to 4096 reports, so this is well under the 2% overhead pin); zero when
-  // off — enqueue_ns stays 0 and the branch below is not taken.
-  const uint64_t dequeue_ns = item.enqueue_ns != 0 ? NowNanos() : 0;
+  // to 4096 reports, so this is well under the 2% overhead pin); none when
+  // off.
+  const uint64_t start_ns = ObsEnabled() ? NowNanos() : 0;
   Status status;
-  uint64_t delta = 0;
+  uint64_t absorbed = 0;
   {
-    MutexLock agg(lane.agg_mu);
-    const uint64_t before = aggregator_.shard(shard).reports_ingested();
-    status = aggregator_.IngestFrameToShard(shard, payload);
-    delta = aggregator_.shard(shard).reports_ingested() - before;
+    MutexLock lock(set.mu);
+    const uint64_t before = set.sketch.total_reports();
+    status = set.sketch.AbsorbWireBatch(payload);
+    absorbed = set.sketch.total_reports() - before;
   }
   if (!status.ok()) {
-    // A rejected frame left every lane untouched (shard contract); count
-    // it, tell the client, and cut the connection — a client producing
-    // corrupt envelopes cannot be trusted with the session.
+    // A rejected frame left every lane untouched; count it, tell the
+    // client, and cut the connection — a client producing corrupt
+    // envelopes cannot be trusted with the session.
     conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
     SendError(conn, status);
     conn.socket.ShutdownBoth();
-    return;
+    return false;
   }
-  conn.reports_ingested.fetch_add(delta, std::memory_order_relaxed);
-  lane.frames.fetch_add(1, std::memory_order_relaxed);
-  lane.reports.fetch_add(delta, std::memory_order_relaxed);
-  if (dequeue_ns != 0) {
+  conn.reports_ingested.fetch_add(absorbed, std::memory_order_relaxed);
+  if (start_ns != 0) {
     const uint64_t done_ns = NowNanos();
-    lane.queue_wait_hist->Record(
-        dequeue_ns > item.enqueue_ns ? dequeue_ns - item.enqueue_ns : 0);
-    lane.absorb_hist->Record(done_ns > dequeue_ns ? done_ns - dequeue_ns : 0);
-    if (item.trace.active()) {
-      TraceLog::Global().Record(item.trace.trace_id, "server_queue",
-                                item.enqueue_ns, dequeue_ns);
-      TraceLog::Global().Record(item.trace.trace_id, "shard_absorb",
-                                dequeue_ns, done_ns);
-      NoteAbsorbedTrace(item.trace);
+    frame_absorb_hist_->Record(done_ns > start_ns ? done_ns - start_ns : 0);
+    if (trace.active()) {
+      TraceLog::Global().Record(trace.trace_id, "shard_absorb", start_ns,
+                                done_ns);
+      NoteAbsorbedTrace(trace);
     }
   }
+  return true;
+}
+
+void FrameServer::RetireLanes(Connection& conn) {
+  if (!conn.lanes) return;
+  {
+    // Unregister and fold under lanes_mu_, which every sum holds from
+    // start to end: a sum sees these reports in exactly one place.
+    MutexLock registry(lanes_mu_);
+    std::erase(live_lanes_, conn.lanes.get());
+    LaneSet& set = *conn.lanes;
+    MutexLock lock(set.mu);
+    if (set.sketch.total_reports() != 0) {
+      if (settled_) {
+        settled_->Merge(set.sketch);
+      } else {
+        settled_.emplace(std::move(set.sketch));
+      }
+    }
+  }
+  conn.lanes.reset();
 }
 
 void FrameServer::NoteAbsorbedTrace(const TraceContext& trace) {
@@ -772,21 +690,15 @@ void FrameServer::WaitForFinalizeRequests(size_t count) {
   }
 }
 
-LdpJoinSketchServer FrameServer::MergeShardsLocked() const {
-  // Dynamic lock set — one agg_mu per lane, all held across the merge —
-  // which is why the declaration opts out of the static analysis.
-  for (const auto& lane : lanes_) lane->agg_mu.Lock();
-  LdpJoinSketchServer merged = aggregator_.MergeShards();
-  for (const auto& lane : lanes_) lane->agg_mu.Unlock();
+LdpJoinSketchServer FrameServer::MergeLanes() const {
+  MutexLock registry(lanes_mu_);
+  LdpJoinSketchServer merged =
+      settled_ ? *settled_ : LdpJoinSketchServer(params_, epsilon_);
+  for (LaneSet* set : live_lanes_) {
+    MutexLock lock(set->mu);
+    if (set->sketch.total_reports() != 0) merged.Merge(set->sketch);
+  }
   return merged;
-}
-
-ShardedAggregator::EpochCut FrameServer::CutAllShards() {
-  // Same dynamic-lock-set opt-out as MergeShardsLocked.
-  for (const auto& lane : lanes_) lane->agg_mu.Lock();
-  ShardedAggregator::EpochCut cut = aggregator_.CutEpoch();
-  for (const auto& lane : lanes_) lane->agg_mu.Unlock();
-  return cut;
 }
 
 ShardedAggregator::EpochCut FrameServer::CutEpochSnapshot() {
@@ -795,7 +707,24 @@ ShardedAggregator::EpochCut FrameServer::CutEpochSnapshot() {
     LDPJS_CHECK(!finalized_);
   }
   const uint64_t cut_start_ns = ObsEnabled() ? NowNanos() : 0;
-  ShardedAggregator::EpochCut cut = CutAllShards();
+  std::optional<LdpJoinSketchServer> merged;
+  {
+    // Each set is summed and zeroed in one critical section, so
+    // consecutive cuts partition the stream.
+    MutexLock registry(lanes_mu_);
+    merged = std::move(settled_);
+    settled_.reset();
+    if (!merged) merged.emplace(params_, epsilon_);
+    for (LaneSet* set : live_lanes_) {
+      MutexLock lock(set->mu);
+      if (set->sketch.total_reports() == 0) continue;
+      merged->Merge(set->sketch);
+      set->sketch.ResetLanes();
+    }
+  }
+  ShardedAggregator::EpochCut cut;
+  cut.reports = merged->total_reports();
+  cut.raw_sketch = merged->Serialize();
   TraceContext claimed;
   {
     // Claim the oldest traced frame absorbed since the last cut: it is in
@@ -820,17 +749,20 @@ TraceContext FrameServer::TakeCutTrace() {
 }
 
 LdpJoinSketchServer FrameServer::FinalizedView() const {
-  LdpJoinSketchServer merged = MergeShardsLocked();
+  LdpJoinSketchServer merged = MergeLanes();
   merged.Finalize();
   return merged;
 }
 
 void FrameServer::PublishView() {
   const uint64_t publish_start_ns = ObsEnabled() ? NowNanos() : 0;
-  LdpJoinSketchServer merged = MergeShardsLocked();
-  merged.Finalize();
-  // The lifetime view has no window frontier: aligned=false, epoch=0.
-  publisher_.Publish(std::move(merged), /*aligned=*/false, /*epoch=*/0);
+  {
+    MutexLock serial(publish_mu_);
+    LdpJoinSketchServer merged = MergeLanes();
+    merged.Finalize();
+    // The lifetime view has no window frontier: aligned=false, epoch=0.
+    publisher_.Publish(std::move(merged), /*aligned=*/false, /*epoch=*/0);
+  }
   if (publish_start_ns == 0) return;
   const uint64_t now = NowNanos();
   view_last_publish_gauge_->Set(now);
@@ -1017,23 +949,19 @@ void FrameServer::Stop() {
     stopping_ = true;
     // Disconnect whoever is still attached: readers blocked in recv see
     // EOF and exit, so Stop cannot hang on an idle or silent client. A
-    // client that completed Finish() has already been fully ingested; any
-    // frames the stragglers queued are still drained by the pumps below.
+    // client that completed Finish() has already been fully ingested; what
+    // the stragglers' readers absorbed is folded as they exit.
     for (auto& conn : connections_) conn->socket.ShutdownBoth();
   }
-  space_cv_.NotifyAll();
   drain_cv_.NotifyAll();
   listener_.ShutdownBoth();
   acceptor_.join();
   // Registration is complete once the acceptor is joined; wait for every
-  // reader to exit, so no producer can enqueue behind a pump's back.
+  // reader to exit, so every lane set is folded into settled_.
   {
     MutexLock lock(mu_);
     while (!AllReadersDone()) drain_cv_.Wait(mu_);
   }
-  // Pumps drain their queues dry, then exit.
-  for (auto& lane : lanes_) lane->work_cv.NotifyAll();
-  for (auto& lane : lanes_) lane->pump.join();
   ReapFinishedConnections();
   listener_.Close();
   {
@@ -1045,11 +973,13 @@ void FrameServer::Stop() {
 LdpJoinSketchServer FrameServer::Finalize() {
   {
     MutexLock lock(mu_);
-    LDPJS_CHECK(stopped_);     // queues are drained exactly when stopped
+    LDPJS_CHECK(stopped_);     // every reader has folded its lanes
     LDPJS_CHECK(!finalized_);  // the global debias+transform happens once
     finalized_ = true;
   }
-  return aggregator_.Finalize();
+  LdpJoinSketchServer merged = MergeLanes();  // the settled accumulator
+  merged.Finalize();
+  return merged;
 }
 
 ConnectionMetrics FrameServer::SnapshotConnection(
@@ -1062,7 +992,6 @@ ConnectionMetrics FrameServer::SnapshotConnection(
   c.reports_ingested = conn.reports_ingested.load(std::memory_order_relaxed);
   c.corrupt_frames_rejected =
       conn.corrupt_frames.load(std::memory_order_relaxed);
-  c.frames_shed = conn.frames_shed.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -1115,23 +1044,12 @@ NetMetrics FrameServer::metrics() const {
   m.bytes_received = departed_folded_.bytes_received;
   m.reports_ingested = departed_folded_.reports_ingested;
   m.corrupt_frames_rejected = departed_folded_.corrupt_frames_rejected;
-  m.frames_shed = departed_folded_.frames_shed;
   for (const ConnectionMetrics& c : m.connections) {
     m.connections_active += c.active ? 1 : 0;
     m.frames_received += c.frames_received;
     m.bytes_received += c.bytes_received;
     m.reports_ingested += c.reports_ingested;
     m.corrupt_frames_rejected += c.corrupt_frames_rejected;
-    m.frames_shed += c.frames_shed;
-  }
-  for (const auto& lane : lanes_) {
-    ShardMetrics shard;
-    shard.frames = lane->frames.load(std::memory_order_relaxed);
-    shard.reports = lane->reports.load(std::memory_order_relaxed);
-    shard.queue_high_water =
-        lane->queue_high_water.load(std::memory_order_relaxed);
-    m.queue_high_water = std::max(m.queue_high_water, shard.queue_high_water);
-    m.shards.push_back(shard);
   }
   for (const auto& [id, region] : regions_) {
     m.regions.push_back(region.metrics);

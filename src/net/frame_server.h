@@ -1,37 +1,51 @@
-// FrameServer: the TCP ingestion front end of the sharded aggregation
-// service — and, in the federated deployment, both the regional ingest tier
-// (it can cut epoch snapshots of its raw lanes) and the central tier (it
-// merges EPOCH_PUSH snapshots shipped upstream by regions). Accepts many
+// FrameServer: the TCP ingestion front end of the aggregation service —
+// and, in the federated deployment, both the regional ingest tier (it can
+// cut epoch snapshots of its raw lanes) and the central tier (it merges
+// EPOCH_PUSH snapshots shipped upstream by regions). Accepts many
 // concurrent client connections, speaks the LJSP session protocol (see
-// net/protocol.h), and feeds every decoded DATA frame into a
-// ShardedAggregator.
+// net/protocol.h), and absorbs every DATA frame into raw integer lanes.
 //
-// Threading model (shard-affine multi-pump ingest):
+// Threading model (reader-absorb):
 //   - one acceptor thread;
-//   - one reader thread per connection, which does the HELLO handshake,
-//     parses transport frames, routes DATA frames onto bounded *per-shard*
-//     ingest queues (connection-local round-robin), and handles the
-//     connection's control frames itself;
-//   - one ingest pump thread per shard, the sole writer of that shard's
-//     lanes, draining that shard's queue. N shards ingest on N cores.
+//   - one reader thread per connection. It does the HELLO handshake, reads
+//     each frame into a connection-owned buffer, absorbs DATA frames
+//     synchronously (LdpJoinSketchServer::AbsorbWireBatch, straight from
+//     the wire bytes) into the connection's own lane set, and handles the
+//     connection's control frames itself. A connection allocates its lane
+//     set on its first DATA frame, so query-only and push-only sessions
+//     hold none. The set's mutex is contended only by the summing paths
+//     below, one set at a time, and is never held together with mu_;
+//   - when a reader exits, it folds its lane set into the "settled"
+//     accumulator (allocated lazily), which also takes every EPOCH_PUSH
+//     merge;
+//   - SNAPSHOT, PublishView, FinalizedView and CutEpochSnapshot sum the
+//     settled accumulator and the live lane sets, skipping empty ones;
+//     Finalize reads the settled accumulator after Stop. A cut zeroes each
+//     set inside the same critical section that sums it, and a departing
+//     connection moves its lanes into the settled accumulator atomically
+//     with respect to every sum, so each report lands in exactly one cut.
 //
-// Ordering: a control frame (SNAPSHOT / EPOCH_PUSH / FINALIZE / BYE) is
-// handled only after every DATA frame its connection sent before it has
-// been absorbed (the reader waits for its in-flight count to reach zero),
-// so SNAPSHOT_DATA / BYE_OK keep their "everything you sent is in the
-// lanes" guarantee. Ordering across connections is unspecified, which is
-// fine — raw integer lanes make the merged sketch independent of frame
-// routing and interleaving (the service exactness invariant), which is also
-// why multi-pump ingest is bit-identical to the old single-pump server.
+// Raw lanes are integer ±1 sums, so any partition of the report stream
+// over lane sets merges bit-identically: the served sketch is independent
+// of which connection carried a report, and of frame interleaving (the
+// service exactness invariant).
 //
-// Backpressure (bounded memory): each shard's queue holds at most
-// `queue_capacity` frames. kBlock parks the reader until the pump makes
-// space — the kernel receive buffer fills and TCP flow control pushes back
-// on the client. kShed refuses the DATA frame with a retriable busy ack
-// instead (the client retries; see FrameSender). Control frames are never
-// queued, so they are never shed. Either way the server's memory is one
-// sketch per shard plus the shard queues — never proportional to client
-// traffic.
+// Ordering: a reader absorbs each DATA frame before it reads the next
+// frame, so a control frame (SNAPSHOT / EPOCH_PUSH / PING / FINALIZE /
+// BYE) sees every DATA frame its connection sent before it — SNAPSHOT_DATA,
+// PING_OK, FINALIZE_OK and BYE_OK mean "everything you sent is in the
+// lanes" with no barrier. PING and FINALIZE republish the lifetime view
+// before acking, and publications are serialized, so once PING_OK returns
+// CurrentPublishedView() holds all of that connection's frames. Ordering
+// across connections is unspecified, which raw lanes make harmless.
+//
+// Backpressure: TCP flow control, and nothing else. A reader that is busy
+// absorbing does not read its socket, so the kernel receive buffer fills
+// and the client's sends block. There is no ingest queue, so no DATA frame
+// is ever shed: HELLO_OK always announces num_shards = 1 and
+// acked_data = false. Server memory is one lane set per connection that
+// has sent DATA, plus the settled accumulator — never proportional to
+// client traffic.
 //
 // Untrusted input: a malformed transport frame, an oversized length prefix,
 // a corrupt LJSB envelope or pushed sketch, a mid-frame disconnect, or a
@@ -47,6 +61,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -67,16 +82,8 @@
 
 namespace ldpjs {
 
-enum class BackpressurePolicy {
-  kBlock,  ///< park the reader; TCP flow control slows the client
-  kShed,   ///< refuse DATA with a busy ack; client retries
-};
-
 struct FrameServerOptions {
   uint16_t port = 0;          ///< 0 = ephemeral; read back with port()
-  size_t num_shards = 1;      ///< aggregation shards == ingest pumps (>= 1)
-  size_t queue_capacity = 64; ///< max queued frames per shard
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// SO_SNDTIMEO on accepted sockets: a client that requests a reply
   /// (SNAPSHOT, acks) but stops reading can stall a server-side write for
   /// at most this long before the write fails and the connection is cut.
@@ -136,7 +143,7 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Binds, listens, and starts the acceptor and per-shard pump threads.
+  /// Binds, listens, and starts the acceptor thread.
   Status Start();
 
   /// Bound port (valid after Start; resolves an ephemeral bind).
@@ -147,12 +154,12 @@ class FrameServer {
   void WaitForFinalizeRequests(size_t count);
   void WaitForFinalizeRequest() { WaitForFinalizeRequests(1); }
 
-  /// Epoch cut (regional tier): quiesces every shard, serializes the merged
-  /// raw lanes of everything ingested since the last cut, and resets the
-  /// lanes in place. Frames still queued simply land in the next epoch —
-  /// merging every cut is bit-identical to never cutting. Callable while
-  /// the server is live or after Stop() (the final flush), but not after
-  /// Finalize().
+  /// Epoch cut (regional tier): serializes the merged raw lanes of
+  /// everything ingested since the last cut, zeroing each lane set as it
+  /// is summed. Frames absorbed after their set was summed land in the
+  /// next epoch — merging every cut is bit-identical to never cutting.
+  /// Callable while the server is live or after Stop() (the final flush),
+  /// but not after Finalize().
   ShardedAggregator::EpochCut CutEpochSnapshot();
 
   /// The trace context of the oldest traced DATA frame absorbed since the
@@ -165,8 +172,8 @@ class FrameServer {
 
   /// A finalized copy of everything currently in the lanes, without
   /// disturbing collection — how a central aggregator answers estimates at
-  /// an epoch boundary while regions keep streaming. Takes every shard
-  /// lock and copies k·m lanes per call; steady-state readers should hold
+  /// an epoch boundary while regions keep streaming. Sums every lane set
+  /// (k·m lanes each) per call; steady-state readers should hold
   /// CurrentPublishedView() instead.
   LdpJoinSketchServer FinalizedView() const;
 
@@ -182,26 +189,26 @@ class FrameServer {
   /// view (what PING does implicitly). Callable any time after Start.
   void PublishView();
 
-  /// Disconnects every currently attached client (their queued frames are
-  /// still drained; the listener stays open, so clients may reconnect).
+  /// Disconnects every currently attached client (whatever their readers
+  /// absorbed stays in the lanes; the listener stays open, so clients may
+  /// reconnect).
   /// An ops action — kick all sessions — and the chaos hook the federation
   /// tests use to force a mid-epoch regional disconnect/retry.
   void DisconnectClients();
 
   /// Shutdown: stops accepting, disconnects any client still attached
-  /// (its already-queued frames are still drained — but a client is only
-  /// guaranteed fully ingested if its Finish()/BYE_OK completed first),
-  /// drains all shard queues, joins threads. Idempotent.
+  /// (what its reader absorbed is kept — but a client is only guaranteed
+  /// fully ingested if its Finish()/BYE_OK completed first), waits for
+  /// every reader to fold its lanes, joins threads. Idempotent.
   void Stop();
 
   /// Merged + finalized sketch — callable exactly once, after Stop(), so
-  /// the global k·c_ε debias and row transforms happen exactly once over
-  /// fully drained queues. Bit-identical to a single node absorbing the
-  /// same reports.
+  /// the global k·c_ε debias and row transforms happen exactly once, over
+  /// the settled accumulator every reader has folded into. Bit-identical
+  /// to a single node absorbing the same reports.
   LdpJoinSketchServer Finalize();
 
-  /// Consistent snapshot of the per-connection/per-shard/per-region
-  /// counters.
+  /// Consistent snapshot of the per-connection/per-region counters.
   NetMetrics metrics() const;
 
   /// The JSON a STATS frame answers with: the stats_metrics_source (or the
@@ -223,6 +230,14 @@ class FrameServer {
   const EventLog& events() const { return events_; }
 
  private:
+  /// One connection's raw lanes. Only the connection's reader absorbs
+  /// into it; the summing paths lock it one set at a time.
+  struct LaneSet {
+    LaneSet(const SketchParams& params, double epsilon)
+        : sketch(params, epsilon) {}
+    Mutex mu;
+    LdpJoinSketchServer sketch LDPJS_GUARDED_BY(mu);
+  };
   struct Connection {
     uint64_t id = 0;
     Socket socket;
@@ -231,45 +246,21 @@ class FrameServer {
     uint8_t version = kNetVersion;
     std::thread reader;
     /// Serializes socket writes (acks, replies). A nested struct cannot
-    /// name the owning server's mu_ in a GUARDED_BY, so the two fields
-    /// below carry their discipline as comments; the enclosing class's
-    /// annotated methods are where the analysis enforces it.
+    /// name the owning server's mu_ in a GUARDED_BY, so reader_done carries
+    /// its discipline as a comment; the enclosing class's annotated
+    /// methods are where the analysis enforces it.
     Mutex write_mu;
     bool reader_done = false;  ///< guarded by FrameServer::mu_
-    uint64_t data_inflight = 0;  ///< queued-but-unabsorbed DATA; mu_
-    size_t next_shard = 0;     ///< connection-local round-robin cursor
+    /// Reader-thread state: the receive buffer every frame is read into,
+    /// and the lane set (allocated on the first DATA frame, registered in
+    /// live_lanes_, folded into settled_ and released when the reader
+    /// exits).
+    NetFrameBuffer frame;
+    std::unique_ptr<LaneSet> lanes;
     std::atomic<uint64_t> frames_received{0};
     std::atomic<uint64_t> bytes_received{0};
     std::atomic<uint64_t> reports_ingested{0};
     std::atomic<uint64_t> corrupt_frames{0};
-    std::atomic<uint64_t> frames_shed{0};
-  };
-  struct PumpItem {
-    Connection* conn;             ///< kept alive until inflight drains
-    std::vector<uint8_t> payload;
-    /// Wrapped DATA keeps the outer TRACED payload and points past its
-    /// header — the LJSB bytes are never copied or re-encoded.
-    size_t payload_offset = 0;
-    uint64_t enqueue_ns = 0;      ///< queue-wait timing (obs enabled only)
-    TraceContext trace;           ///< inactive unless the frame was TRACED
-  };
-  /// One shard's ingest lane: a bounded queue drained by a dedicated pump,
-  /// plus the mutex that makes the shard's aggregator state lockable by
-  /// snapshot/cut/merge paths without stopping the other pumps.
-  struct ShardLane {
-    std::deque<PumpItem> queue;        ///< guarded by FrameServer::mu_
-    CondVar work_cv;                   ///< pump waits for queue items
-    std::thread pump;
-    mutable Mutex agg_mu;              ///< guards aggregator shard state
-    /// Written by readers under mu_, but read lock-free by metrics paths —
-    /// atomic so a TSan-clean snapshot never has to take the queue lock.
-    std::atomic<uint64_t> queue_high_water{0};
-    std::atomic<uint64_t> frames{0};
-    std::atomic<uint64_t> reports{0};
-    /// Cached registry instruments (stable pointers, see obs/metrics.h):
-    /// per-shard queue-wait and absorb-time distributions.
-    ObsHistogram* queue_wait_hist = nullptr;
-    ObsHistogram* absorb_hist = nullptr;
   };
   struct RegionState {
     uint64_t next_epoch = 0;  ///< pushes below this are duplicates
@@ -285,27 +276,27 @@ class FrameServer {
 
   void AcceptLoop();
   void ReaderLoop(Connection* conn);
-  void PumpLoop(size_t shard);
-  void ProcessData(size_t shard, PumpItem& item);
-  /// Blocks until every DATA frame `conn` enqueued has been absorbed — the
-  /// ordering barrier control frames ride on.
-  void WaitConnDrained(Connection* conn);
+  /// Absorbs one DATA payload into the connection's lane set (allocating
+  /// it on first use). Returns false when the connection should be closed
+  /// (corrupt envelope; the lanes are untouched).
+  bool HandleData(Connection& conn, std::span<const uint8_t> payload,
+                  const TraceContext& trace);
+  /// Reader exit: unregisters the connection's lane set and folds it into
+  /// settled_, atomically with respect to every sum.
+  void RetireLanes(Connection& conn) LDPJS_EXCLUDES(lanes_mu_);
   void HandleSnapshot(Connection& conn);
   void HandleEpochPush(Connection& conn, std::span<const uint8_t> payload,
                        const TraceContext& trace);
   /// Answers one QUERY from the published view. Returns false when the
-  /// connection should be closed (corrupt payload). Never waits on the
-  /// drain barrier — queries cannot stall, or be stalled by, ingest.
+  /// connection should be closed (corrupt payload). Touches no lane, so
+  /// queries cannot stall, or be stalled by, ingest.
   bool HandleQuery(Connection& conn, std::span<const uint8_t> payload,
                    const TraceContext& trace);
-  /// Answers one STATS_REQUEST with the StatsJson() payload. Like QUERY,
-  /// never behind the drain barrier — an ops probe must not stall behind
-  /// a busy ingest queue.
+  /// Answers one STATS_REQUEST with the StatsJson() payload.
   void HandleStats(Connection& conn);
   /// Absorbs one STATS_PUSH into the fleet store (health transitions go to
   /// the event log) and acks. Returns false when the connection should be
-  /// closed (corrupt payload). Never behind the drain barrier: a stats
-  /// push is telemetry, ordered after nothing.
+  /// closed (corrupt payload).
   bool HandleStatsPush(Connection& conn, std::span<const uint8_t> payload);
   /// Answers one FLEET_STATS_REQUEST with the encoded CurrentFleetView().
   void HandleFleetStats(Connection& conn);
@@ -319,35 +310,36 @@ class FrameServer {
   ConnectionMetrics SnapshotConnection(const Connection& conn) const;
   void SendError(Connection& conn, const Status& status);
   bool HelloMatches(const SessionHello& hello) const;
-  /// Merges every shard's lanes under all shard locks (consistent cut).
-  /// The lock set is dynamic (one agg_mu per lane), which the static
-  /// analysis cannot model — the definition opts out and documents why.
-  LdpJoinSketchServer MergeShardsLocked() const
-      LDPJS_NO_THREAD_SAFETY_ANALYSIS;
-  /// Cuts the epoch under all shard locks (same dynamic-lock-set opt-out).
-  ShardedAggregator::EpochCut CutAllShards()
-      LDPJS_NO_THREAD_SAFETY_ANALYSIS;
+  /// Sum of settled_ and every non-empty live lane set (un-finalized).
+  LdpJoinSketchServer MergeLanes() const LDPJS_EXCLUDES(lanes_mu_);
 
   SketchParams params_;
   double epsilon_;
   FrameServerOptions options_;
   size_t max_session_payload_;    ///< DATA cap or EPOCH_PUSH bound
-  ShardedAggregator aggregator_;  ///< shard s owned by pump s (agg_mu)
-  std::vector<std::unique_ptr<ShardLane>> lanes_;
-  std::atomic<size_t> push_shard_{0};  ///< EPOCH_PUSH merge round-robin
+
+  /// The lane registry. Lock order: publish_mu_ → lanes_mu_ →
+  /// LaneSet::mu; none of them is ever held together with mu_.
+  mutable Mutex lanes_mu_;
+  /// Lane sets of connections whose readers are live.
+  std::vector<LaneSet*> live_lanes_ LDPJS_GUARDED_BY(lanes_mu_);
+  /// Departed connections' lanes plus every EPOCH_PUSH merge; allocated
+  /// on first use, emptied by each cut.
+  std::optional<LdpJoinSketchServer> settled_ LDPJS_GUARDED_BY(lanes_mu_);
+  /// Serializes PublishView from sum to swap, so a publication never
+  /// replaces a newer one and "PING, then query" reads your own writes.
+  Mutex publish_mu_;
 
   Socket listener_;
   uint16_t port_ = 0;
   std::thread acceptor_;
 
   mutable Mutex mu_;
-  CondVar space_cv_;     ///< readers wait for queue space
-  CondVar drain_cv_;     ///< waits for inflight==0 / readers
+  CondVar drain_cv_;     ///< waits for readers to exit / pushes to land
   CondVar finalize_cv_;
-  /// Live connections only: once a connection's reader has exited and its
-  /// in-flight frames are absorbed, it is reaped (thread joined, counters
-  /// folded into departed_) — server memory does not grow with the total
-  /// number of clients ever served.
+  /// Live connections only: once a connection's reader has exited, it is
+  /// reaped (thread joined, counters folded into departed_) — server
+  /// memory does not grow with the total number of clients ever served.
   std::vector<std::unique_ptr<Connection>> connections_ LDPJS_GUARDED_BY(mu_);
   /// Final per-conn snapshots, newest last. Bounded: once it exceeds
   /// kMaxDepartedRows the oldest rows are folded into departed_folded_ —
@@ -385,7 +377,8 @@ class FrameServer {
   TraceContext pending_cut_trace_ LDPJS_GUARDED_BY(obs_mu_);
   TraceContext last_cut_trace_ LDPJS_GUARDED_BY(obs_mu_);
   /// Cached registry instruments (stable pointers into the process-global
-  /// registry; per-shard ones live on the lanes).
+  /// registry).
+  ObsHistogram* frame_absorb_hist_ = nullptr;
   ObsHistogram* ingest_to_queryable_hist_ = nullptr;
   ObsHistogram* query_latency_hist_ = nullptr;
   ObsHistogram* query_error_latency_hist_ = nullptr;

@@ -19,15 +19,6 @@ struct ConnectionMetrics {
   uint64_t bytes_received = 0;           ///< transport bytes (header+payload)
   uint64_t reports_ingested = 0;         ///< reports absorbed into lanes
   uint64_t corrupt_frames_rejected = 0;  ///< transport- or envelope-level
-  uint64_t frames_shed = 0;              ///< DATA refused with a busy ack
-};
-
-/// Per-shard counters. With multi-pump ingest each shard owns a queue and a
-/// pump, so queue depth is a per-shard property now, not per-connection.
-struct ShardMetrics {
-  uint64_t frames = 0;
-  uint64_t reports = 0;
-  uint64_t queue_high_water = 0;  ///< max ingest-queue depth seen
 };
 
 /// Per-region counters on a central aggregator (one row per region_id that
@@ -60,8 +51,10 @@ struct NetMetrics {
   uint64_t bytes_received = 0;
   uint64_t reports_ingested = 0;
   uint64_t corrupt_frames_rejected = 0;
+  /// Always 0 from FrameServer (reader-absorb has no queue to shed from or
+  /// fill); kept because the stats JSON schema and its scrapers read them.
   uint64_t frames_shed = 0;
-  uint64_t queue_high_water = 0;  ///< max over shards
+  uint64_t queue_high_water = 0;
   // Federation totals (sum of the region rows).
   uint64_t epochs_applied = 0;
   uint64_t epoch_duplicates_ignored = 0;
@@ -86,12 +79,11 @@ struct NetMetrics {
   /// queries_rejected is attributable instead of one opaque aggregate.
   std::vector<QueryKindMetrics> query_rejected_kinds;
   std::vector<ConnectionMetrics> connections;
-  std::vector<ShardMetrics> shards;
   std::vector<RegionMetrics> regions;
 };
 
-/// Renders the full snapshot — totals plus the per-connection, per-shard,
-/// and per-region rows — as one JSON object (machine-readable ops output;
+/// Renders the full snapshot — totals plus the per-connection and
+/// per-region rows — as one JSON object (machine-readable ops output;
 /// the CLI dumps it on SIGUSR1 and at exit).
 std::string NetMetricsToJson(const NetMetrics& metrics);
 

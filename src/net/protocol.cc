@@ -403,7 +403,12 @@ Status WriteNetFrame(const Socket& socket, NetFrameType type,
   return socket.SendAllV(header, payload);
 }
 
-Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload) {
+namespace {
+
+/// Reads and checks the 5-byte transport header: returns the payload
+/// length, with the type in `*type`.
+Result<uint32_t> ReadNetFrameHeader(const Socket& socket, size_t max_payload,
+                                    NetFrameType* type) {
   uint8_t header[5];
   // RecvAll distinguishes a close on the frame boundary (NotFound — the
   // peer is simply done) from a close inside the header (Corruption).
@@ -421,21 +426,47 @@ Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload) {
     return Status::Corruption("unknown frame type " +
                               std::to_string(header[4]));
   }
-  NetFrame frame;
-  frame.type = static_cast<NetFrameType>(header[4]);
-  frame.payload.resize(len);
-  if (len > 0) {
-    const Status status = socket.RecvAll(frame.payload);
-    if (!status.ok()) {
-      // Truncation inside a declared payload is corruption even when the
-      // close itself was clean — the peer promised `len` more bytes.
-      if (status.code() == StatusCode::kNotFound) {
-        return Status::Corruption("connection closed mid-frame");
-      }
-      return status;
-    }
+  *type = static_cast<NetFrameType>(header[4]);
+  return len;
+}
+
+Status ReadNetFramePayload(const Socket& socket, std::span<uint8_t> out) {
+  if (out.empty()) return Status::OK();
+  const Status status = socket.RecvAll(out);
+  // Truncation inside a declared payload is corruption even when the close
+  // itself was clean — the peer promised `len` more bytes.
+  if (status.code() == StatusCode::kNotFound) {
+    return Status::Corruption("connection closed mid-frame");
   }
+  return status;
+}
+
+}  // namespace
+
+Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload) {
+  NetFrame frame;
+  auto len = ReadNetFrameHeader(socket, max_payload, &frame.type);
+  if (!len.ok()) return len.status();
+  frame.payload.resize(*len);
+  LDPJS_RETURN_IF_ERROR(ReadNetFramePayload(socket, frame.payload));
   return frame;
+}
+
+Result<NetFrameType> ReadNetFrame(const Socket& socket, size_t max_payload,
+                                  NetFrameBuffer& buffer) {
+  NetFrameType type = NetFrameType::kError;
+  auto len = ReadNetFrameHeader(socket, max_payload, &type);
+  if (!len.ok()) return len.status();
+  // A failed read leaves an empty payload, never a stale one.
+  buffer.size_ = 0;
+  if (*len > buffer.capacity_) {
+    buffer.data_ = std::make_unique_for_overwrite<uint8_t[]>(*len);
+    buffer.capacity_ = *len;
+  }
+  LDPJS_RETURN_IF_ERROR(
+      ReadNetFramePayload(socket, {buffer.data_.get(), *len}));
+  buffer.size_ = *len;
+  return type;
 }
 
 }  // namespace ldpjs

@@ -12,9 +12,9 @@
 //   client                                server
 //     | -- HELLO {magic,ver,k,m,seed,eps} -> |   params must match exactly
 //     | <- HELLO_OK {ver,shards,ack_mode} -- |   (else ERROR + close)
-//     | -- DATA {LJSB batch envelope} -----> |   ingest into a shard
-//     | <- DATA_ACK {code} ---------------- |   (shed mode only; code busy
-//     |            ...                       |    means retry the frame)
+//     | -- DATA {LJSB batch envelope} -----> |   absorbed by the reader
+//     | <- DATA_ACK {code} ---------------- |   (acked_data sessions only;
+//     |            ...                       |    code busy = retry frame)
 //     | -- SNAPSHOT ----------------------> |
 //     | <- SNAPSHOT_DATA {raw-lane sketch}- |   merged un-finalized lanes
 //     | -- PING --------------------------> |   ordered-after-DATA barrier
@@ -36,6 +36,7 @@
 #define LDPJS_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -226,6 +227,9 @@ Result<SessionHello> DecodeHello(std::span<const uint8_t> payload);
 
 /// HELLO_OK payload: protocol version echo plus the server's shard count
 /// and whether every DATA frame will be acked (shed-mode flow control).
+/// FrameServer absorbs DATA on the reader thread and relies on TCP flow
+/// control alone, so it always answers num_shards = 1, acked_data = false;
+/// the fields keep the wire layout and FrameSender's busy-retry path.
 /// `region_next_epoch` answers a region-announcing HELLO with the first
 /// epoch the server has NOT applied for that region (0 when the region has
 /// never pushed, or when the HELLO carried no region).
@@ -383,6 +387,28 @@ Status WriteNetFrame(const Socket& socket, NetFrameType type,
 /// session); a close mid-frame, an unknown type, or a payload above
 /// `max_payload` returns Corruption without reading further.
 Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload);
+
+/// A reusable receive buffer for the allocation-free ReadNetFrame overload.
+/// Capacity only grows (to the largest frame seen) and is never zero-filled:
+/// a long-lived session reads every frame into the same bytes.
+class NetFrameBuffer {
+ public:
+  std::span<const uint8_t> payload() const { return {data_.get(), size_}; }
+
+ private:
+  friend Result<NetFrameType> ReadNetFrame(const Socket& socket,
+                                           size_t max_payload,
+                                           NetFrameBuffer& buffer);
+  std::unique_ptr<uint8_t[]> data_;
+  size_t capacity_ = 0;
+  size_t size_ = 0;
+};
+
+/// ReadNetFrame into a caller-owned buffer: the same bounds and corruption
+/// checks, no per-frame allocation. Returns the frame type; the payload is
+/// buffer.payload(), valid until the next read into `buffer`.
+Result<NetFrameType> ReadNetFrame(const Socket& socket, size_t max_payload,
+                                  NetFrameBuffer& buffer);
 
 }  // namespace ldpjs
 

@@ -50,8 +50,7 @@ void AppendHistogram(std::string& out, const std::string& name,
 std::string StatsToJson(const NetMetrics& m, const MetricsRegistry* registry,
                         std::string_view extra_sections) {
   std::string out;
-  out.reserve(1024 + 128 * (m.connections.size() + m.shards.size() +
-                            m.regions.size()));
+  out.reserve(1024 + 128 * (m.connections.size() + m.regions.size()));
   out += '{';
   bool first = true;
   AppendField(out, "connections_accepted", m.connections_accepted, &first);
@@ -120,22 +119,11 @@ std::string StatsToJson(const NetMetrics& m, const MetricsRegistry* registry,
     AppendField(out, "bytes_received", c.bytes_received, &f);
     AppendField(out, "reports_ingested", c.reports_ingested, &f);
     AppendField(out, "corrupt_frames_rejected", c.corrupt_frames_rejected, &f);
-    AppendField(out, "frames_shed", c.frames_shed, &f);
     out += '}';
   }
-  out += "],\"shards\":[";
-  for (size_t i = 0; i < m.shards.size(); ++i) {
-    const ShardMetrics& s = m.shards[i];
-    if (i > 0) out += ',';
-    out += '{';
-    bool f = true;
-    AppendField(out, "shard", i, &f);
-    AppendField(out, "frames", s.frames, &f);
-    AppendField(out, "reports", s.reports, &f);
-    AppendField(out, "queue_high_water", s.queue_high_water, &f);
-    out += '}';
-  }
-  out += "],\"regions\":[";
+  // "shards" stays as a frozen legacy key; ingest has no shard queues, so
+  // it is always empty.
+  out += "],\"shards\":[],\"regions\":[";
   for (size_t i = 0; i < m.regions.size(); ++i) {
     const RegionMetrics& r = m.regions[i];
     if (i > 0) out += ',';

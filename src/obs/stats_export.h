@@ -4,7 +4,8 @@
 //
 // Output shape:
 //   - every pre-existing NetMetrics key, unchanged in name and type, at the
-//     top level (totals, then query_kinds / connections / shards / regions);
+//     top level (totals, then query_kinds / connections / shards / regions;
+//     "shards" is always an empty array now that ingest has no shard queues);
 //   - "query_rejected_kinds": {kind: count} — per-kind reject attribution;
 //   - when a registry is supplied, "obs": {counters, gauges, histograms}
 //     where each histogram carries count/sum/mean/p50/p90/p99/p999, plus

@@ -34,7 +34,7 @@ struct TraceContext {
 };
 
 /// One timed stage of a traced batch's life. Stage names used by the
-/// shipped tiers: client_encode, client_send, server_queue, shard_absorb,
+/// shipped tiers: client_encode, client_send, shard_absorb (on the reader),
 /// epoch_cut, regional_ship, central_merge, view_publish, query_serve.
 struct TraceSpan {
   uint64_t trace_id = 0;
@@ -44,7 +44,7 @@ struct TraceSpan {
 };
 
 /// Process-global bounded ring of spans. Writers from any tier in the
-/// process (client, shard pump, regional scheduler, central reader) append
+/// process (client, connection reader, regional scheduler, central) append
 /// under one mutex; the ring keeps the most recent kCapacity spans.
 class TraceLog {
  public:

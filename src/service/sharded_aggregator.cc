@@ -20,30 +20,23 @@ Status ShardedAggregator::IngestFrame(std::span<const uint8_t> frame) {
   return Status::OK();
 }
 
-Status ShardedAggregator::IngestFrameToShard(size_t shard,
-                                             std::span<const uint8_t> frame) {
-  LDPJS_CHECK(shard < shards_.size());
-  return shards_[shard].IngestFrame(frame);
-}
-
-Result<LdpJoinSketchServer> ShardedAggregator::DecodeCompatibleSketch(
-    std::span<const uint8_t> bytes) const {
+Result<LdpJoinSketchServer> DecodeCompatibleSketch(
+    std::span<const uint8_t> bytes, const SketchParams& params,
+    double epsilon) {
   auto pushed = LdpJoinSketchServer::Deserialize(bytes);
   if (!pushed.ok()) return pushed.status();
   if (pushed->finalized()) {
     return Status::FailedPrecondition(
         "pushed sketch is finalized: only raw-lane snapshots merge");
   }
-  const LdpJoinSketchServer& mine = shards_[0].sketch();
   const SketchParams& theirs = pushed->params();
   // Epsilon compares as bits: mismatched debias scales must never merge.
   const double e_theirs = pushed->epsilon();
-  const double e_mine = mine.epsilon();
   uint64_t eps_theirs = 0, eps_mine = 0;
   std::memcpy(&eps_theirs, &e_theirs, sizeof(eps_theirs));
-  std::memcpy(&eps_mine, &e_mine, sizeof(eps_mine));
-  if (theirs.k != mine.params().k || theirs.m != mine.params().m ||
-      theirs.seed != mine.params().seed || eps_theirs != eps_mine) {
+  std::memcpy(&eps_mine, &epsilon, sizeof(eps_mine));
+  if (theirs.k != params.k || theirs.m != params.m ||
+      theirs.seed != params.seed || eps_theirs != eps_mine) {
     return Status::FailedPrecondition(
         "pushed sketch params mismatch: lanes are not mergeable");
   }

@@ -24,6 +24,14 @@
 
 namespace ldpjs {
 
+/// Deserializes an un-finalized raw-lane sketch (a regional epoch snapshot)
+/// and checks it is mergeable into lanes of shape `params` built with
+/// `epsilon` (compared as bits). Rejects corrupt bytes, finalized sketches,
+/// and any params/epsilon mismatch with a Status.
+Result<LdpJoinSketchServer> DecodeCompatibleSketch(
+    std::span<const uint8_t> bytes, const SketchParams& params,
+    double epsilon);
+
 class ShardedAggregator {
  public:
   /// `num_shards` = 0 sizes the shard set to the shared pool's width (one
@@ -35,16 +43,9 @@ class ShardedAggregator {
   const AggregatorShard& shard(size_t i) const { return shards_[i]; }
 
   /// Streaming path: ingests one batch-envelope frame payload into the next
-  /// shard round-robin, on the calling thread. Bounded memory (the shard
-  /// rings); a rejected frame leaves every shard untouched.
+  /// shard round-robin, on the calling thread. Bounded memory (one sketch
+  /// per shard); a rejected frame leaves every shard untouched.
   Status IngestFrame(std::span<const uint8_t> frame);
-
-  /// Shard-affine streaming path: ingests one frame into shard `shard`
-  /// directly (the multi-pump server's per-shard queues own their routing).
-  /// Raw lanes make any frame→shard routing bit-identical, so affinity is
-  /// purely a throughput decision. Not synchronized — callers targeting the
-  /// same shard concurrently must serialize themselves.
-  Status IngestFrameToShard(size_t shard, std::span<const uint8_t> frame);
 
   /// Federated path, validation half: deserializes an un-finalized
   /// raw-lane sketch (a regional epoch snapshot) and checks it is
@@ -55,10 +56,13 @@ class ShardedAggregator {
   /// central tier decodes once and reuses the sketch for both its shard
   /// merge and its windowed-view epoch store.
   Result<LdpJoinSketchServer> DecodeCompatibleSketch(
-      std::span<const uint8_t> bytes) const;
+      std::span<const uint8_t> bytes) const {
+    const LdpJoinSketchServer& mine = shards_[0].sketch();
+    return ldpjs::DecodeCompatibleSketch(bytes, mine.params(), mine.epsilon());
+  }
 
   /// Merges an already-validated raw-lane sketch into shard `shard` (exact
-  /// integer lane addition). Not synchronized, like IngestFrameToShard.
+  /// integer lane addition). Not synchronized.
   void MergeRawSketch(size_t shard, const LdpJoinSketchServer& sketch);
 
   /// Exact inverse of MergeRawSketch: retracts a previously merged sketch

@@ -89,14 +89,12 @@ TEST(FederationTest, MidEpochDisconnectRetriesToExactlyOnce) {
   }
 
   CentralNodeOptions central_options;
-  central_options.server.num_shards = 2;
   CentralNode central(params, epsilon, central_options);
   ASSERT_TRUE(central.Start().ok());
 
   RegionalNodeOptions region_options;
   region_options.region_id = 7;
   region_options.central_port = central.port();
-  region_options.server.num_shards = 2;
   region_options.ship_backoff = {.base_micros = 1000, .cap_micros = 4000};
   RegionalNode region(params, epsilon, region_options);
   ASSERT_TRUE(region.Start().ok());
@@ -166,7 +164,6 @@ TEST(FederationTest, DuplicateEpochPushIsDedupedExactlyOnce) {
   const std::vector<uint8_t> snapshot = epoch_sketch.Serialize();
 
   CentralNodeOptions options;
-  options.server.num_shards = 3;
   CentralNode central(params, epsilon, options);
   ASSERT_TRUE(central.Start().ok());
   auto sender =

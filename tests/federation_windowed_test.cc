@@ -183,7 +183,6 @@ TEST(FederationWindowedTest, IncrementalViewEqualsRecomputeThroughout) {
   };
 
   CentralNodeOptions options;
-  options.server.num_shards = 2;
   options.finalize_after = 2;  // two regions gate the aligned frontier
   options.window_epochs = 2;
   CentralNode central(params, epsilon, options);

@@ -71,14 +71,14 @@ TEST(NetLoopbackTest, SendReportsMatchesDirectAbsorbBitForBit) {
   LdpJoinSketchClient client(params, epsilon);
   const std::vector<LdpReport> reports = PerturbColumn(client, 10000, 3);
 
-  FrameServerOptions options;
-  options.num_shards = 3;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
                                      epsilon);
   ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-  EXPECT_EQ(sender->server_shards(), 3u);
+  // Reader-absorb: one lane set per connection, no shed acks.
+  EXPECT_EQ(sender->server_shards(), 1u);
+  EXPECT_FALSE(sender->acked_data());
   ASSERT_TRUE(sender->SendReports(reports).ok());
   ASSERT_TRUE(sender->Finish().ok());
   server.Stop();
@@ -94,13 +94,8 @@ TEST(NetLoopbackTest, SendReportsMatchesDirectAbsorbBitForBit) {
   const NetMetrics metrics = server.metrics();
   EXPECT_EQ(metrics.reports_ingested, reports.size());
   EXPECT_EQ(metrics.corrupt_frames_rejected, 0u);
-  uint64_t shard_reports = 0;
-  for (const ShardMetrics& shard : metrics.shards) {
-    shard_reports += shard.reports;
-  }
-  EXPECT_EQ(metrics.shards.size(), 3u);
-  EXPECT_EQ(shard_reports, reports.size());
-  EXPECT_GE(metrics.queue_high_water, 1u);
+  EXPECT_EQ(metrics.frames_shed, 0u);
+  EXPECT_EQ(metrics.queue_high_water, 0u);
 }
 
 TEST(NetLoopbackTest, SnapshotMatchesDirectRawLanes) {
@@ -109,9 +104,7 @@ TEST(NetLoopbackTest, SnapshotMatchesDirectRawLanes) {
   LdpJoinSketchClient client(params, epsilon);
   const std::vector<LdpReport> reports = PerturbColumn(client, 6000, 9);
 
-  FrameServerOptions options;
-  options.num_shards = 2;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto sender =
       FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
@@ -160,9 +153,7 @@ TEST(NetLoopbackTest, HelloMismatchRejectedAndCounted) {
 TEST(NetLoopbackTest, MalformedFramesAreCountedAndServerSurvives) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
-  FrameServerOptions options;
-  options.num_shards = 2;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   SessionHello hello_fields;
@@ -304,9 +295,7 @@ TEST(NetLoopbackTest, MalformedFinalizePayloadsRejectedNotCounted) {
 TEST(NetLoopbackTest, PingIsAnIngestBarrier) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
-  FrameServerOptions options;
-  options.num_shards = 4;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   LdpJoinSketchClient client(params, epsilon);
@@ -326,15 +315,12 @@ TEST(NetLoopbackTest, PingIsAnIngestBarrier) {
 
 // Satellite regression (meaningful under the TSan CI job): a metrics
 // snapshot taken concurrently with full-rate ingest must be race-free —
-// queue_high_water is read lock-free while readers update it under the
-// queue lock.
+// the per-connection counters are read lock-free while the reader updates
+// them.
 TEST(NetLoopbackTest, MetricsSnapshotRacesIngestCleanly) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
-  FrameServerOptions options;
-  options.num_shards = 2;
-  options.queue_capacity = 4;  // small queue: high-water moves constantly
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> done{false};
@@ -359,40 +345,6 @@ TEST(NetLoopbackTest, MetricsSnapshotRacesIngestCleanly) {
   poller.join();
   server.Stop();
   EXPECT_EQ(server.metrics().reports_ingested, reports.size());
-}
-
-TEST(NetLoopbackTest, ShedBackpressureLosesNothing) {
-  const SketchParams params = TestParams();
-  const double epsilon = 2.0;
-  LdpJoinSketchClient client(params, epsilon);
-  const std::vector<LdpReport> reports = PerturbColumn(client, 40000, 23);
-
-  FrameServerOptions options;
-  options.num_shards = 2;
-  options.queue_capacity = 1;  // force backpressure on every burst
-  options.backpressure = BackpressurePolicy::kShed;
-  FrameServer server(params, epsilon, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  FrameSender::Options sender_options;
-  sender_options.busy_backoff = {.base_micros = 50, .cap_micros = 2000};
-  auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
-                                     epsilon, sender_options);
-  ASSERT_TRUE(sender.ok());
-  EXPECT_TRUE(sender->acked_data());
-  ASSERT_TRUE(sender->SendReports(reports).ok());
-  ASSERT_TRUE(sender->Finish().ok());
-  server.Stop();
-
-  const NetMetrics metrics = server.metrics();
-  // Shed frames were retried until accepted: nothing lost, nothing doubled.
-  EXPECT_EQ(metrics.reports_ingested, reports.size());
-  EXPECT_LE(metrics.queue_high_water, options.queue_capacity + 1);
-
-  LdpJoinSketchServer direct(params, epsilon);
-  direct.AbsorbBatch(reports);
-  direct.Finalize();
-  EXPECT_EQ(server.Finalize().Serialize(), direct.Serialize());
 }
 
 TEST(NetLoopbackTest, ShedRetryExhaustionYieldsCleanUnavailable) {
@@ -455,9 +407,7 @@ TEST(NetLoopbackTest, ManyConcurrentSendersMergeExactly) {
     partitions.push_back(PerturbColumn(client, kPerSender, 100 + s));
   }
 
-  FrameServerOptions options;
-  options.num_shards = 4;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   std::vector<std::thread> threads;
   for (size_t s = 0; s < kSenders; ++s) {

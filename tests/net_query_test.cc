@@ -167,41 +167,36 @@ TEST(NetQueryTest, LifetimeServedAnswersBitIdenticalToInProcess) {
   const double epsilon = 2.0;
   const std::vector<QueryRequest> requests = AllKindRequests(params, epsilon);
   for (const bool fap : {false, true}) {
-    for (const size_t shards : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "fap=" << fap << " shards=" << shards);
-      FrameServerOptions options;
-      options.num_shards = shards;
-      FrameServer server(params, epsilon, options);
-      ASSERT_TRUE(server.Start().ok());
-      auto sender =
-          FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
-      ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-      EXPECT_EQ(sender->negotiated_version(), kNetVersion);
-      ASSERT_TRUE(
-          sender->SendReports(MethodReports(params, epsilon, fap, 20000, 17))
-              .ok());
-      // PING is the barrier AND the republish point: the view the next
-      // query answers from contains everything this connection sent.
-      ASSERT_TRUE(sender->Ping().ok());
-      const std::shared_ptr<const PublishedView> view =
-          server.CurrentPublishedView();
-      EXPECT_EQ(view->reports(), 20000u);
-      for (size_t i = 0; i < requests.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << "kind=" << i);
-        auto served = sender->Query(requests[i]);
-        ASSERT_TRUE(served.ok()) << served.status().ToString();
-        auto local = AnswerQuery(*view, requests[i]);
-        ASSERT_TRUE(local.ok()) << local.status().ToString();
-        ExpectBitIdentical(*served, *local);
-      }
-      ASSERT_TRUE(sender->Finish().ok());
-      server.Stop();
-      const NetMetrics metrics = server.metrics();
-      EXPECT_EQ(metrics.query_frames, requests.size());
-      EXPECT_EQ(metrics.queries_rejected, 0u);
-      EXPECT_GE(metrics.views_published, 2u);  // Start + PING at least
+    SCOPED_TRACE(::testing::Message() << "fap=" << fap);
+    FrameServer server(params, epsilon, FrameServerOptions{});
+    ASSERT_TRUE(server.Start().ok());
+    auto sender =
+        FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+    EXPECT_EQ(sender->negotiated_version(), kNetVersion);
+    ASSERT_TRUE(
+        sender->SendReports(MethodReports(params, epsilon, fap, 20000, 17))
+            .ok());
+    // PING is the barrier AND the republish point: the view the next
+    // query answers from contains everything this connection sent.
+    ASSERT_TRUE(sender->Ping().ok());
+    const std::shared_ptr<const PublishedView> view =
+        server.CurrentPublishedView();
+    EXPECT_EQ(view->reports(), 20000u);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "kind=" << i);
+      auto served = sender->Query(requests[i]);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      auto local = AnswerQuery(*view, requests[i]);
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      ExpectBitIdentical(*served, *local);
     }
+    ASSERT_TRUE(sender->Finish().ok());
+    server.Stop();
+    const NetMetrics metrics = server.metrics();
+    EXPECT_EQ(metrics.query_frames, requests.size());
+    EXPECT_EQ(metrics.queries_rejected, 0u);
+    EXPECT_GE(metrics.views_published, 2u);  // Start + PING at least
   }
 }
 
@@ -210,7 +205,6 @@ TEST(NetQueryTest, WindowedCentralServedAnswersBitIdenticalToInProcess) {
   const double epsilon = 2.0;
   const std::vector<QueryRequest> requests = AllKindRequests(params, epsilon);
   CentralNodeOptions central_options;
-  central_options.server.num_shards = 2;
   central_options.finalize_after = 1;
   central_options.window_epochs = 3;
   CentralNode central(params, epsilon, central_options);
@@ -312,14 +306,13 @@ TEST(NetQueryTest, ConcurrentEpochCutsNeverTearThePublishedView) {
 
 // Same property at the server level: QUERY answered while a DATA session
 // streams and a second connection forces republish churn via PING. Every
-// answer must reflect a whole number of ingested envelopes (one shard ⇒
-// the merge snapshot is envelope-atomic) and sequences stay monotone.
+// answer must reflect a whole number of ingested envelopes (a frame is
+// absorbed under its lane set's lock, so every sum is envelope-atomic) and
+// sequences stay monotone.
 TEST(NetQueryTest, QueriesUnderSustainedIngestSeeOnlyWholeBatches) {
   const SketchParams params = TestParams(4, 64, 13);
   const double epsilon = 2.0;
-  FrameServerOptions options;
-  options.num_shards = 1;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   constexpr size_t kBatch = 500;

@@ -89,9 +89,7 @@ TEST(NetStatsTest, RegistrySerializationAddsObsSection) {
 TEST(NetStatsTest, StatsFrameRoundTripsOverLiveSession) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
-  FrameServerOptions options;
-  options.num_shards = 2;
-  FrameServer server(params, epsilon, options);
+  FrameServer server(params, epsilon, FrameServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   auto sender =
@@ -115,8 +113,7 @@ TEST(NetStatsTest, StatsFrameRoundTripsOverLiveSession) {
   ExpectHasKey(*json, "ingest_to_queryable_p99_ms");
   ExpectHasKey(*json, "obs");
   ExpectHasKey(*json, "histograms");
-  ExpectHasKey(*json, "shard0_queue_wait_ns");
-  ExpectHasKey(*json, "shard0_absorb_ns");
+  ExpectHasKey(*json, "frame_absorb_ns");
   EXPECT_NE(json->find("\"reports_ingested\":300"), std::string::npos)
       << *json;
   // The scrape must match what the server would dump on SIGUSR1 for the

@@ -1,7 +1,9 @@
 // Wire decode hardening: DecodeReportBatch must agree with a per-report
-// DecodeReport loop on every valid input, and must return Corruption —
+// DecodeReport loop on every valid input, the fused AbsorbWireBatch must
+// agree with decode + AbsorbBatch, and both must return Corruption —
 // without reading out of bounds (the CI sanitize job runs these under
 // ASan/UBSan) — on truncated, corrupted, or wrong-version buffers.
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +211,81 @@ TEST(AggregatorShardTest, RejectsOutOfShapeReportsWithoutPoisoningState) {
   ASSERT_TRUE(shard.IngestFrame(EncodeBatch(reports)).ok());
   EXPECT_EQ(shard.reports_ingested(), 50u);
   EXPECT_EQ(shard.frames_ingested(), 1u);
+}
+
+// The fused wire absorb is exactly DecodeReportBatch + AbsorbBatch: same
+// lanes, same report count, at a narrow and a wide sketch and at the
+// envelope's edge counts.
+TEST(AbsorbWireBatchTest, MatchesDecodeThenAbsorbBatch) {
+  for (const int m : {1024, 16384}) {
+    const SketchParams params = TestParams(18, m, 29);
+    for (const size_t count : {size_t{0}, size_t{1}, kMaxWireBatchReports}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " count=" << count);
+      const std::vector<LdpReport> reports =
+          RandomReports(count, 7 + count, 18, static_cast<uint32_t>(m));
+      const std::vector<uint8_t> wire = EncodeBatch(reports);
+
+      LdpJoinSketchServer fused(params, 2.0);
+      ASSERT_TRUE(fused.AbsorbWireBatch(wire).ok());
+      ASSERT_TRUE(fused.AbsorbWireBatch(wire).ok());  // lanes accumulate
+
+      LdpJoinSketchServer reference(params, 2.0);
+      std::vector<LdpReport> decoded(kMaxWireBatchReports);
+      for (int pass = 0; pass < 2; ++pass) {
+        BinaryReader reader(wire);
+        auto n = DecodeReportBatch(reader, decoded);
+        ASSERT_TRUE(n.ok());
+        reference.AbsorbBatch(std::span<const LdpReport>(decoded).first(*n));
+      }
+      EXPECT_EQ(fused.total_reports(), 2 * count);
+      EXPECT_EQ(fused.Serialize(), reference.Serialize());
+    }
+  }
+}
+
+// Every reject case leaves lanes and total_reports() untouched — including
+// a bad report in the very last slot, after every other report validated.
+TEST(AbsorbWireBatchTest, RejectsLeaveLanesUntouched) {
+  const SketchParams params = TestParams(4, 128);
+  const std::vector<LdpReport> reports = RandomReports(300, 11);
+  const std::vector<uint8_t> good = EncodeBatch(reports);
+  LdpJoinSketchServer sketch(params, 2.0);
+  ASSERT_TRUE(sketch.AbsorbWireBatch(good).ok());
+  const std::vector<uint8_t> before = sketch.Serialize();
+
+  const auto put_u32 = [](std::vector<uint8_t>& bytes, size_t at,
+                          uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  const size_t last = 9 + (reports.size() - 1) * kWireReportBytes;
+  std::vector<std::pair<const char*, std::vector<uint8_t>>> cases;
+  cases.emplace_back("bad magic", good);
+  cases.back().second[0] ^= 0xff;
+  cases.emplace_back("bad version", good);
+  cases.back().second[4] = 9;
+  cases.emplace_back("count above the limit", good);
+  put_u32(cases.back().second, 5, kMaxWireBatchReports + 1);
+  cases.emplace_back("truncated", good);
+  cases.back().second.pop_back();
+  cases.emplace_back("truncated header",
+                     std::vector<uint8_t>(good.begin(), good.begin() + 8));
+  cases.emplace_back("one trailing byte", good);
+  cases.back().second.push_back(0);
+  cases.emplace_back("y=2 on the last report", good);
+  cases.back().second[last] = 2;
+  cases.emplace_back("j=k on the last report", good);
+  put_u32(cases.back().second, last + 1, static_cast<uint32_t>(params.k));
+  cases.emplace_back("l=m on the last report", good);
+  put_u32(cases.back().second, last + 5, static_cast<uint32_t>(params.m));
+
+  for (const auto& [name, wire] : cases) {
+    EXPECT_EQ(sketch.AbsorbWireBatch(wire).code(), StatusCode::kCorruption)
+        << name;
+    EXPECT_EQ(sketch.total_reports(), reports.size()) << name;
+    EXPECT_EQ(sketch.Serialize(), before) << name;
+  }
 }
 
 TEST(ShardedAggregatorTest, TruncatedStreamIsCorruption) {

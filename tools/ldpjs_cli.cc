@@ -8,13 +8,13 @@
 //
 // Network mode (subcommands) — the distributed deployment, on real sockets:
 //
-//   ldpjs_cli serve --port 7542 --shards 4 --seed 1 --out sketch_a.bin
+//   ldpjs_cli serve --port 7542 --seed 1 --out sketch_a.bin
 //   ldpjs_cli send  --port 7542 --table a --rows 200000 --seed 1 --finalize 1
 //   ldpjs_cli estimate --sketch-a a.bin --sketch-b b.bin [--check 1 ...]
 //
 // `serve` aggregates one table's reports until a client sends FINALIZE,
-// then drains, finalizes once, writes the serialized finalized sketch to
-// --out, and dumps the per-connection/per-shard metrics. `send` replays the
+// then finalizes once, writes the serialized finalized sketch to --out,
+// and dumps the per-connection metrics. `send` replays the
 // exact per-block perturbation the in-process simulation would run (same
 // counter-based RNG streams, same seed derivations), so `estimate --check`
 // can assert the network path reproduced the in-process estimate bit for
@@ -36,8 +36,8 @@
 // so N senders across regions partition exactly one table.
 //
 // All serving subcommands dump a stats JSON snapshot on SIGUSR1 and at exit
-// (stdout, plus --metrics-json FILE when set) — shed/corrupt/queue-high-
-// water/per-region counters plus the obs registry's latency histograms —
+// (stdout, plus --metrics-json FILE when set) — connection/corrupt/
+// per-region counters plus the obs registry's latency histograms —
 // and can append the same JSON periodically with --stats-jsonl FILE
 // --stats-period N. `ldpjs_cli stats --port P [--watch N]` scrapes the
 // identical snapshot from a live server over LJSP v4 (see RunStats);
@@ -183,8 +183,6 @@ void DumpMetrics(const NetMetrics& metrics) {
               static_cast<unsigned long long>(metrics.bytes_received));
   std::printf("reports        : %llu\n",
               static_cast<unsigned long long>(metrics.reports_ingested));
-  std::printf("queue high-water: %llu frames\n",
-              static_cast<unsigned long long>(metrics.queue_high_water));
   std::printf("robustness     : %llu retries (%llu ms backoff), %llu accept "
               "failures (%llu fatal), %llu idle reaped, %llu faults "
               "injected\n",
@@ -204,21 +202,12 @@ void DumpMetrics(const NetMetrics& metrics) {
   }
   for (const ConnectionMetrics& c : metrics.connections) {
     std::printf(
-        "  conn %llu: frames=%llu bytes=%llu reports=%llu corrupt=%llu "
-        "shed=%llu\n",
+        "  conn %llu: frames=%llu bytes=%llu reports=%llu corrupt=%llu\n",
         static_cast<unsigned long long>(c.id),
         static_cast<unsigned long long>(c.frames_received),
         static_cast<unsigned long long>(c.bytes_received),
         static_cast<unsigned long long>(c.reports_ingested),
-        static_cast<unsigned long long>(c.corrupt_frames_rejected),
-        static_cast<unsigned long long>(c.frames_shed));
-  }
-  for (size_t s = 0; s < metrics.shards.size(); ++s) {
-    std::printf("  shard %zu: frames=%llu reports=%llu hwm=%llu\n", s,
-                static_cast<unsigned long long>(metrics.shards[s].frames),
-                static_cast<unsigned long long>(metrics.shards[s].reports),
-                static_cast<unsigned long long>(
-                    metrics.shards[s].queue_high_water));
+        static_cast<unsigned long long>(c.corrupt_frames_rejected));
   }
   for (const RegionMetrics& r : metrics.regions) {
     std::printf(
@@ -318,25 +307,7 @@ class MetricsWatcher {
   std::thread poller_;
 };
 
-bool ParseBackpressure(const std::string& policy,
-                       BackpressurePolicy* out) {
-  if (policy == "block") {
-    *out = BackpressurePolicy::kBlock;
-    return true;
-  }
-  if (policy == "shed") {
-    *out = BackpressurePolicy::kShed;
-    return true;
-  }
-  std::fprintf(stderr, "unknown backpressure policy '%s' (block|shed)\n",
-               policy.c_str());
-  return false;
-}
-
 void DefineServerFlags(tools::Flags& flags) {
-  flags.Define("shards", "1", "aggregation shards (= ingest pumps)");
-  flags.Define("queue", "64", "per-shard ingest queue capacity");
-  flags.Define("backpressure", "block", "full-queue policy: block|shed");
   flags.Define("idle-timeout", "0",
                "reap a client connection silent for this many seconds "
                "(0 = off; regional shippers legitimately idle between "
@@ -361,16 +332,11 @@ MetricsWatcher MakeWatcher(const tools::Flags& flags,
                         static_cast<int>(flags.GetInt("stats-period")));
 }
 
-FrameServerOptions ServerOptionsFromFlags(const tools::Flags& flags,
-                                          bool* ok) {
+FrameServerOptions ServerOptionsFromFlags(const tools::Flags& flags) {
   FrameServerOptions options;
   options.port = static_cast<uint16_t>(flags.GetInt("port"));
-  options.num_shards = static_cast<size_t>(flags.GetInt("shards"));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue"));
   options.idle_timeout_seconds = static_cast<int>(flags.GetInt("idle-timeout"));
   options.health.i2q_p99_target_ms = flags.GetDouble("slo-i2q-ms");
-  *ok = ParseBackpressure(flags.GetString("backpressure"),
-                          &options.backpressure);
   return options;
 }
 
@@ -385,9 +351,7 @@ int RunServe(int argc, char** argv) {
   flags.Define("out", "", "write the finalized sketch here when done");
   flags.Parse(argc, argv);
 
-  bool policy_ok = false;
-  FrameServerOptions options = ServerOptionsFromFlags(flags, &policy_ok);
-  if (!policy_ok) return 2;
+  const FrameServerOptions options = ServerOptionsFromFlags(flags);
 
   const SketchParams params = SketchFromFlags(flags);
   FrameServer server(params, flags.GetDouble("epsilon"), options);
@@ -397,11 +361,8 @@ int RunServe(int argc, char** argv) {
                  started.ToString().c_str());
     return 1;
   }
-  std::printf("serving LJSP on port %u (k=%d, m=%d, shards=%zu, queue=%zu, "
-              "%s)\n",
-              server.port(), params.k, params.m, options.num_shards,
-              options.queue_capacity,
-              flags.GetString("backpressure").c_str());
+  std::printf("serving LJSP on port %u (k=%d, m=%d)\n", server.port(),
+              params.k, params.m);
   std::fflush(stdout);
 
   NetMetrics metrics;
@@ -452,10 +413,8 @@ int RunFederateCentral(int argc, char** argv) {
   flags.Define("out", "", "write the finalized sketch here when done");
   flags.Parse(argc, argv);
 
-  bool policy_ok = false;
   CentralNodeOptions options;
-  options.server = ServerOptionsFromFlags(flags, &policy_ok);
-  if (!policy_ok) return 2;
+  options.server = ServerOptionsFromFlags(flags);
   options.finalize_after =
       static_cast<size_t>(flags.GetInt("finalize-after"));
   options.window_epochs = static_cast<uint64_t>(flags.GetInt("window"));
@@ -470,10 +429,9 @@ int RunFederateCentral(int argc, char** argv) {
                  started.ToString().c_str());
     return 1;
   }
-  std::printf("central aggregator on port %u (k=%d, m=%d, shards=%zu, "
+  std::printf("central aggregator on port %u (k=%d, m=%d, "
               "finalize-after=%zu)\n",
-              central.port(), params.k, params.m, options.server.num_shards,
-              options.finalize_after);
+              central.port(), params.k, params.m, options.finalize_after);
   std::fflush(stdout);
 
   NetMetrics metrics;
@@ -549,10 +507,8 @@ int RunFederateRegion(int argc, char** argv) {
                "off against a v4-or-older central)");
   flags.Parse(argc, argv);
 
-  bool policy_ok = false;
   RegionalNodeOptions options;
-  options.server = ServerOptionsFromFlags(flags, &policy_ok);
-  if (!policy_ok) return 2;
+  options.server = ServerOptionsFromFlags(flags);
   options.region_id = static_cast<uint32_t>(flags.GetInt("region"));
   options.central_host = flags.GetString("central-host");
   options.central_port = static_cast<uint16_t>(flags.GetInt("central-port"));
@@ -573,11 +529,10 @@ int RunFederateRegion(int argc, char** argv) {
                  started.ToString().c_str());
     return 1;
   }
-  std::printf("region %u on port %u → central %s:%u (shards=%zu, "
-              "epoch-ms=%d)\n",
+  std::printf("region %u on port %u → central %s:%u (epoch-ms=%d)\n",
               options.region_id, region.port(), options.central_host.c_str(),
               static_cast<unsigned>(options.central_port),
-              options.server.num_shards, options.epoch_millis);
+              options.epoch_millis);
   std::fflush(stdout);
 
   NetMetrics metrics;
